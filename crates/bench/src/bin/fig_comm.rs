@@ -6,10 +6,12 @@
 //! the smallest message, `β` = marginal per-byte time between the two
 //! largest sizes), and cross-checks the fit against the `chimera-sim`
 //! [`NetworkModel`] link classes the simulator uses for the paper's
-//! clusters. The measured α is dominated by the deadline primitive's
-//! polling backoff (tens of µs) rather than the wire, so the meaningful
-//! check is on bandwidth: the in-process backend's measured `1/β` must
-//! exceed the simulated *inter-node* link bandwidths (8–10 GB/s) —
+//! clusters. The local backend's measured α is dominated by its deadline
+//! primitive's polling backoff (tens of µs) rather than the wire; the TCP
+//! backend's receivers are woken on arrival, so its α is the loopback
+//! socket round trip plus thread wake-ups. The meaningful check is on
+//! bandwidth: the in-process backend's measured `1/β` must exceed the
+//! simulated *inter-node* link bandwidths (8–10 GB/s) —
 //! otherwise the harness itself, not the modeled network, would bottleneck
 //! any experiment that replays the paper's communication volumes.
 

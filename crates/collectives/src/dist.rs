@@ -36,6 +36,17 @@ type Contribution = Vec<(u64, Vec<f32>)>;
 /// rank, because member index is the tiebreaker in the key-ordered sum.
 /// Member 0 acts as the root: it gathers all contributions, reduces, and
 /// broadcasts the result.
+///
+/// **Progress rule.** The root is always member 0, whatever the `tag`, and
+/// it reduces only inside its own [`KeyedReduce::fetch_deadline`]: a
+/// non-root member's fetch completes only once the root's worker has
+/// reached its fetch of the same round. The training runtime lists each
+/// stage's holders in replica order, so member 0 is the replica-0 holder,
+/// and workers fetch in (replica, stage) order: every worker finishes the
+/// reduction it roots, which waits only on deposits, before it waits on
+/// another root. Rotating the root by tag breaks that and deadlocks D=4
+/// Chimera under post-hoc sync (a worker blocks on a group whose root is
+/// itself blocked on a group rooted at the first). Do not rotate it.
 pub struct TransportKeyed {
     ep: Arc<dyn Transport>,
     tag: u32,

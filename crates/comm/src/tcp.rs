@@ -14,8 +14,18 @@
 //! 3. **Mesh.** Data connections are opened lazily on first send to a peer
 //!    (again with bounded-backoff retry). An acceptor thread on the data
 //!    listener spawns one reader thread per inbound connection; readers
-//!    decode frames and park payloads in the shared keyed inbox that
-//!    [`Transport::recv_deadline`] polls.
+//!    decode frames, park payloads in the shared keyed inbox, and wake
+//!    the receivers blocked in [`Transport::recv_deadline`].
+//!
+//! # Data path
+//!
+//! A frame is encoded once into its final buffer and retained as one
+//! shared allocation: the retransmit buffer and every write (first send,
+//! chaos duplicate, replay) use the same bytes. Readers take the length
+//! prefix, check it against [`MAX_FRAME`], and read the body straight into
+//! a buffer of that size. A receiver waits on a condition variable the
+//! readers notify on every delivery, so a message is picked up as soon as
+//! it is parked instead of at the next poll.
 //!
 //! # Sessions: retransmit, dedup, reconnect
 //!
@@ -61,7 +71,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,7 +81,7 @@ use chimera_trace::{Counter, MetricsRegistry};
 
 use crate::chaos::{LinkChaos, NetChaos};
 use crate::fault::FaultInjection;
-use crate::transport::{poll_deadline, CommError, MsgKey, Payload, Rank, Transport};
+use crate::transport::{CommError, MsgKey, Payload, Rank, Transport};
 use crate::wire::{self, Frame, MAX_FRAME, SEQ_UNSEQUENCED};
 
 /// Control-plane tag: rank registration (payload: data-listener address).
@@ -219,11 +229,16 @@ impl TcpFabric {
     }
 }
 
+type Inbox = HashMap<MsgKey, VecDeque<Payload>>;
+
 /// Inbox + receive-side session state shared between the owning worker and
 /// the backend's reader threads.
 struct Shared {
     rank: Rank,
-    inbox: Mutex<HashMap<MsgKey, VecDeque<Payload>>>,
+    /// A `std` mutex: it pairs with `arrived`, which needs timed waits.
+    inbox: std::sync::Mutex<Inbox>,
+    /// Notified after every payload parked in `inbox`.
+    arrived: Condvar,
     /// Per-sender delivered watermark (highest contiguous seq delivered).
     delivered: Mutex<HashMap<Rank, u64>>,
     /// When each peer was last heard from (any frame or ack counts).
@@ -238,6 +253,20 @@ impl Shared {
     fn note_heard(&self, peer: Rank) {
         self.last_heard.lock().insert(peer, Instant::now());
     }
+
+    /// Every inbox update is a single map operation, so a guard poisoned by
+    /// a panicking holder still sees a consistent map.
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Park `payload` under `key` and wake every waiting receiver.
+    fn deliver(&self, key: MsgKey, payload: Payload, frame_len: u64) {
+        self.received.fetch_add(frame_len, Ordering::Relaxed);
+        self.metrics_received.add(frame_len);
+        self.inbox().entry(key).or_default().push_back(payload);
+        self.arrived.notify_all();
+    }
 }
 
 /// One outbound session link (this endpoint → one peer).
@@ -249,8 +278,9 @@ struct Link {
     next_seq: u64,
     /// Highest cumulative ack received.
     acked: u64,
-    /// Encoded frames awaiting acknowledgement, in sequence order.
-    unacked: VecDeque<(u64, Vec<u8>)>,
+    /// Encoded frames awaiting acknowledgement, in sequence order; each
+    /// frame exists once and every write borrows it.
+    unacked: VecDeque<(u64, Arc<Vec<u8>>)>,
     /// Last write or ack progress (drives the retransmit timer).
     last_progress: Instant,
     chaos: LinkChaos,
@@ -460,7 +490,8 @@ impl TcpEndpoint {
         let reg = MetricsRegistry::global();
         let shared = Arc::new(Shared {
             rank: config.rank,
-            inbox: Mutex::new(HashMap::new()),
+            inbox: std::sync::Mutex::new(HashMap::new()),
+            arrived: Condvar::new(),
             delivered: Mutex::new(HashMap::new()),
             last_heard: Mutex::new(HashMap::new()),
             received: AtomicU64::new(0),
@@ -581,16 +612,15 @@ impl TcpEndpoint {
             heartbeats_sent: self.ctx.heartbeats_sent.load(Ordering::Relaxed),
         }
     }
+}
 
-    fn take(&self, key: &MsgKey) -> Option<Payload> {
-        let mut inbox = self.shared.inbox.lock();
-        let q = inbox.get_mut(key)?;
-        let payload = q.pop_front();
-        if q.is_empty() {
-            inbox.remove(key);
-        }
-        payload
+fn take(inbox: &mut Inbox, key: &MsgKey) -> Option<Payload> {
+    let q = inbox.get_mut(key)?;
+    let payload = q.pop_front();
+    if q.is_empty() {
+        inbox.remove(key);
     }
+    payload
 }
 
 impl Transport for TcpEndpoint {
@@ -635,9 +665,9 @@ impl Transport for TcpEndpoint {
         }
         let seq = link.next_seq;
         link.next_seq += 1;
-        let frame = wire::encode_data(seq, self.rank, &key, &payload);
+        let frame = Arc::new(wire::encode_data(seq, self.rank, &key, &payload));
         let flen = frame.len() as u64;
-        link.unacked.push_back((seq, frame));
+        link.unacked.push_back((seq, Arc::clone(&frame)));
         // Account the logical send once, chaos or not: retransmitted and
         // duplicated copies are recovery traffic, not payload.
         self.sent.fetch_add(flen, Ordering::Relaxed);
@@ -662,18 +692,17 @@ impl Transport for TcpEndpoint {
             link.held = Some(seq);
             return Ok(());
         }
-        let bytes = link.unacked.back().expect("frame just queued").1.clone();
-        self.ctx.write_or_heal(&mut link, to, &bytes, true)?;
+        self.ctx.write_or_heal(&mut link, to, &frame, true)?;
         if verdict.duplicate {
             // Deliver a second copy; the receiver's dedup discards it.
-            let _ = self.ctx.write_or_heal(&mut link, to, &bytes, true);
+            let _ = self.ctx.write_or_heal(&mut link, to, &frame, true);
         }
         if let Some(h) = link.held.take() {
             let held_bytes = link
                 .unacked
                 .iter()
                 .find(|(s, _)| *s == h)
-                .map(|(_, b)| b.clone());
+                .map(|(_, b)| Arc::clone(b));
             if let Some(b) = held_bytes {
                 let _ = self.ctx.write_or_heal(&mut link, to, &b, true);
             }
@@ -682,13 +711,26 @@ impl Transport for TcpEndpoint {
     }
 
     fn recv_deadline(&self, key: MsgKey, timeout: Duration) -> Result<Payload, CommError> {
-        if let Some(p) = self.take(&key) {
-            return Ok(p);
+        let deadline = Instant::now() + timeout;
+        let mut inbox = self.shared.inbox();
+        loop {
+            if let Some(p) = take(&mut inbox, &key) {
+                return Ok(p);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(CommError::Timeout {
+                    key: key.describe(),
+                    waited: timeout,
+                });
+            }
+            inbox = self
+                .shared
+                .arrived
+                .wait_timeout(inbox, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        poll_deadline(timeout, || self.take(&key)).ok_or(CommError::Timeout {
-            key: key.describe(),
-            waited: timeout,
-        })
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -806,66 +848,27 @@ fn ack_reader(mut stream: TcpStream, ctx: Arc<SessionCtx>, to: Rank, epoch: u64)
     {
         return;
     }
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if ctx.shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        {
-            // Stale epoch: a newer connection owns this link now.
-            let link = ctx.links[to as usize].lock();
-            if link.epoch != epoch {
-                return;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                let mut link = ctx.links[to as usize].lock();
-                if link.epoch == epoch {
-                    link.stream = None;
+    // Stop on shutdown, or when a newer connection owns this link.
+    let stop = || {
+        ctx.shared.shutdown.load(Ordering::Relaxed) || ctx.links[to as usize].lock().epoch != epoch
+    };
+    let mut body = Vec::new();
+    while let Ok(true) = read_frame(&mut stream, &mut body, &stop) {
+        if let Ok(Frame::Ack { upto, .. }) = wire::decode_frame(&body) {
+            let mut link = ctx.links[to as usize].lock();
+            if link.epoch == epoch && upto > link.acked {
+                link.acked = upto;
+                while link.unacked.front().is_some_and(|(s, _)| *s <= upto) {
+                    link.unacked.pop_front();
                 }
-                return;
+                link.last_progress = Instant::now();
             }
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                while buf.len() >= 4 {
-                    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-                    if len > MAX_FRAME || buf.len() < 4 + len {
-                        if len > MAX_FRAME {
-                            return;
-                        }
-                        break;
-                    }
-                    if let Ok(Frame::Ack { upto, .. }) = wire::decode_frame(&buf[4..4 + len]) {
-                        let mut link = ctx.links[to as usize].lock();
-                        if link.epoch == epoch && upto > link.acked {
-                            link.acked = upto;
-                            while link.unacked.front().is_some_and(|(s, _)| *s <= upto) {
-                                link.unacked.pop_front();
-                            }
-                            link.last_progress = Instant::now();
-                        }
-                        ctx.shared.note_heard(to);
-                    }
-                    buf.drain(..4 + len);
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => {
-                let mut link = ctx.links[to as usize].lock();
-                if link.epoch == epoch {
-                    link.stream = None;
-                }
-                return;
-            }
+            ctx.shared.note_heard(to);
         }
+    }
+    let mut link = ctx.links[to as usize].lock();
+    if link.epoch == epoch {
+        link.stream = None;
     }
 }
 
@@ -1093,14 +1096,7 @@ fn on_sequenced(
         }
     };
     if deliver {
-        shared.received.fetch_add(frame_len, Ordering::Relaxed);
-        shared.metrics_received.add(frame_len);
-        shared
-            .inbox
-            .lock()
-            .entry(key)
-            .or_default()
-            .push_back(payload);
+        shared.deliver(key, payload, frame_len);
     } else {
         shared.dup_dropped.fetch_add(1, Ordering::Relaxed);
         MetricsRegistry::global()
@@ -1114,10 +1110,69 @@ fn on_sequenced(
     let _ = writer.write_all(&wire::encode_ack(shared.rank, upto));
 }
 
-/// Reader thread: accumulate bytes, decode complete frames, run the
-/// session step, park payloads in the keyed inbox. Short read timeouts
-/// keep the shutdown flag live without ever splitting a frame (partial
-/// reads stay in the buffer).
+/// Fill `buf` from `stream`. Read timeouts only re-check `stop`, so a
+/// partially read buffer is never lost. `Ok(false)` when `stop` fires or
+/// the peer closes before the first byte; EOF inside `buf` is an error.
+fn read_full(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    stop: &dyn Fn() -> bool,
+) -> std::io::Result<bool> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(false),
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) =>
+            {
+                if stop() {
+                    return Ok(false);
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+/// Read the next frame body into `body`: the length prefix first, checked
+/// against [`MAX_FRAME`] before any allocation, then the body straight into
+/// `body` resized to exactly that length (its capacity is reused across
+/// frames). `Ok(false)` on a clean close or `stop` (checked before every
+/// frame and on every read timeout); an oversize prefix is
+/// [`std::io::ErrorKind::InvalidData`].
+fn read_frame(
+    stream: &mut TcpStream,
+    body: &mut Vec<u8>,
+    stop: &dyn Fn() -> bool,
+) -> std::io::Result<bool> {
+    if stop() {
+        return Ok(false);
+    }
+    let mut len_buf = [0u8; 4];
+    if !read_full(stream, &mut len_buf, stop)? {
+        return Ok(false);
+    }
+    let len = u32::from_le_bytes(len_buf) as usize;
+    if len > MAX_FRAME {
+        return Err(std::io::ErrorKind::InvalidData.into());
+    }
+    body.resize(len, 0);
+    if len > 0 && !read_full(stream, body, stop)? {
+        return Ok(false);
+    }
+    Ok(true)
+}
+
+/// Reader thread: read whole frames, run the session step, park payloads
+/// in the keyed inbox. Short read timeouts keep the shutdown flag live.
 fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     if stream
         .set_read_timeout(Some(Duration::from_millis(50)))
@@ -1125,109 +1180,67 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     {
         return;
     }
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
+    let stop = || shared.shutdown.load(Ordering::Relaxed);
+    let mut body = Vec::new();
     loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
+        match read_frame(&mut stream, &mut body, &stop) {
+            Ok(true) => {}
+            Ok(false) => return,
+            Err(e) => {
+                if e.kind() == std::io::ErrorKind::InvalidData {
+                    // Corrupt stream: nothing downstream is trustworthy.
+                    MetricsRegistry::global()
+                        .counter("comm.tcp.protocol_errors")
+                        .inc();
+                }
+                return;
+            }
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                loop {
-                    if buf.len() < 4 {
-                        break;
+        let frame_len = (4 + body.len()) as u64;
+        match wire::decode_frame(&body) {
+            Ok(Frame::Hello { from, .. }) => {
+                shared.note_heard(from);
+                // Report the watermark so a resuming sender can prune its
+                // replay immediately.
+                let upto = shared.delivered.lock().get(&from).copied().unwrap_or(0);
+                let _ = (&stream).write_all(&wire::encode_ack(shared.rank, upto));
+            }
+            Ok(Frame::Ack { from, .. }) => {
+                // Acks normally flow to the sender's ack-reader; seeing one
+                // here only proves the peer is alive.
+                shared.note_heard(from);
+            }
+            Ok(Frame::Data {
+                seq,
+                from,
+                key,
+                payload,
+            }) => {
+                shared.note_heard(from);
+                if seq != SEQ_UNSEQUENCED {
+                    on_sequenced(&shared, &stream, seq, from, key, payload, frame_len);
+                } else if matches!(
+                    key,
+                    MsgKey::Ctrl {
+                        tag: TAG_HEARTBEAT,
+                        ..
                     }
-                    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-                    if len > MAX_FRAME {
-                        // Corrupt stream: nothing downstream is trustworthy.
-                        MetricsRegistry::global()
-                            .counter("comm.tcp.protocol_errors")
-                            .inc();
-                        return;
-                    }
-                    if buf.len() < 4 + len {
-                        break;
-                    }
-                    match wire::decode_frame(&buf[4..4 + len]) {
-                        Ok(Frame::Hello { from, .. }) => {
-                            shared.note_heard(from);
-                            // Report the watermark so a resuming sender can
-                            // prune its replay immediately.
-                            let upto = shared.delivered.lock().get(&from).copied().unwrap_or(0);
-                            let _ = (&stream).write_all(&wire::encode_ack(shared.rank, upto));
-                        }
-                        Ok(Frame::Ack { from, .. }) => {
-                            // Acks normally flow to the sender's ack-reader;
-                            // seeing one here only proves the peer is alive.
-                            shared.note_heard(from);
-                        }
-                        Ok(Frame::Data {
-                            seq,
-                            from,
-                            key,
-                            payload,
-                        }) => {
-                            shared.note_heard(from);
-                            if seq == SEQ_UNSEQUENCED {
-                                // Sessionless traffic: heartbeats update
-                                // liveness only, the rest delivers directly.
-                                let is_heartbeat = matches!(
-                                    key,
-                                    MsgKey::Ctrl {
-                                        tag: TAG_HEARTBEAT,
-                                        ..
-                                    }
-                                );
-                                if is_heartbeat {
-                                    // Echo an ack so liveness is mutual even
-                                    // on a one-directional data link.
-                                    let upto =
-                                        shared.delivered.lock().get(&from).copied().unwrap_or(0);
-                                    let _ =
-                                        (&stream).write_all(&wire::encode_ack(shared.rank, upto));
-                                } else {
-                                    let frame_len = (4 + len) as u64;
-                                    shared.received.fetch_add(frame_len, Ordering::Relaxed);
-                                    shared.metrics_received.add(frame_len);
-                                    shared
-                                        .inbox
-                                        .lock()
-                                        .entry(key)
-                                        .or_default()
-                                        .push_back(payload);
-                                }
-                            } else {
-                                on_sequenced(
-                                    &shared,
-                                    &stream,
-                                    seq,
-                                    from,
-                                    key,
-                                    payload,
-                                    (4 + len) as u64,
-                                );
-                            }
-                        }
-                        Err(_) => {
-                            MetricsRegistry::global()
-                                .counter("comm.tcp.protocol_errors")
-                                .inc();
-                            return;
-                        }
-                    }
-                    buf.drain(..4 + len);
+                ) {
+                    // Sessionless heartbeat: echo an ack so liveness is
+                    // mutual even on a one-directional data link.
+                    let upto = shared.delivered.lock().get(&from).copied().unwrap_or(0);
+                    let _ = (&stream).write_all(&wire::encode_ack(shared.rank, upto));
+                } else {
+                    // Other sessionless traffic delivers directly.
+                    shared.deliver(key, payload, frame_len);
                 }
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
+            Err(_) => {
+                MetricsRegistry::global()
+                    .counter("comm.tcp.protocol_errors")
+                    .inc();
+                return;
+            }
         }
     }
 }

@@ -224,9 +224,12 @@ pub trait KeyedReduce: Send {
     fn fetch_deadline(&self, timeout: Duration) -> Option<Vec<f32>>;
 }
 
-/// Poll with bounded exponential backoff until `f` produces a value or the
-/// deadline passes. The stub-friendly waiting primitive every deadline in
-/// this crate uses (no timed condition variables required).
+/// Poll with bounded exponential backoff (10 µs doubling to 500 µs) until
+/// `f` produces a value or the deadline passes. The local backend's
+/// waiting primitive: its receiver drains its own channel into its inbox,
+/// so no other thread is there to wake it. The TCP backend does not use
+/// it; its receivers sleep on a condition variable the reader threads
+/// notify on every arrival.
 pub(crate) fn poll_deadline<T>(timeout: Duration, mut f: impl FnMut() -> Option<T>) -> Option<T> {
     let deadline = std::time::Instant::now() + timeout;
     let mut backoff_us = 10u64;

@@ -131,15 +131,10 @@ fn recompute_bitexact_everywhere() {
     check(&dapple(4, 4).with_recompute(), 2);
 }
 
-/// D=4 Chimera over the TCP transport (real loopback sockets, the full wire
-/// path: framing, rendezvous, reader threads) trains bit-identically to the
-/// in-process channel fabric — and therefore to sequential SGD.
-#[test]
-fn chimera_d4_over_tcp_bitexact() {
-    let sched = chimera(&ChimeraConfig::new(4, 4)).unwrap();
-    let cfg = cfg_for(sched.d);
-    let o = opts(2);
-
+/// Train `sched` with one `train_worker_process` per rank over
+/// `TcpFabric::loopback` and require parameters and per-iteration losses
+/// bit-identical to the in-process run.
+fn check_over_tcp(sched: &Schedule, cfg: ModelConfig, o: TrainOptions) {
     let endpoints = TcpFabric::loopback(sched.num_workers() as u32).expect("loopback fabric");
     let handles: Vec<_> = endpoints
         .into_iter()
@@ -155,12 +150,53 @@ fn chimera_d4_over_tcp_bitexact() {
     let mut outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let tcp = outcomes.remove(0).expect("rank 0 assembles the outcome");
 
-    let local = train(&sched, cfg, o).expect("in-process training succeeds");
+    let local = train(sched, cfg, o).expect("in-process training succeeds");
     let tcp_bits: Vec<u32> = tcp.flat_params.iter().map(|f| f.to_bits()).collect();
     let local_bits: Vec<u32> = local.flat_params().iter().map(|f| f.to_bits()).collect();
-    assert_eq!(tcp_bits, local_bits, "tcp fabric diverged from in-process");
+    assert_eq!(
+        tcp_bits, local_bits,
+        "{} D={} N={}: tcp fabric diverged from in-process",
+        sched.scheme, sched.d, sched.n
+    );
+    assert_eq!(tcp.iteration_losses.len(), local.iteration_losses.len());
     for (a, b) in tcp.iteration_losses.iter().zip(&local.iteration_losses) {
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+}
+
+/// D=4 Chimera over the TCP transport (real loopback sockets, the full wire
+/// path: framing, rendezvous, reader threads) trains bit-identically to the
+/// in-process channel fabric — and therefore to sequential SGD.
+#[test]
+fn chimera_d4_over_tcp_bitexact() {
+    let sched = chimera(&ChimeraConfig::new(4, 4)).unwrap();
+    check_over_tcp(&sched, cfg_for(sched.d), opts(2));
+}
+
+/// The benchmark's TCP job: Chimera and DAPPLE at D=2, N=8 on the narrow
+/// model (hidden 64, seq 16, vocab 256, 4 layers, B=2, one kernel thread
+/// per worker), whose stage gradients are ~117k floats — large frames
+/// that span many socket reads.
+#[test]
+fn chimera_d2_n8_over_tcp_bitexact() {
+    let cfg = ModelConfig {
+        layers: 4,
+        hidden: 64,
+        heads: 4,
+        seq: 16,
+        vocab: 256,
+        causal: true,
+        seed: 7,
+    };
+    let o = TrainOptions {
+        micro_batch: 2,
+        iterations: 2,
+        data_seed: 2024,
+        threads: Some(1),
+        ..TrainOptions::default()
+    };
+    for sched in [chimera(&ChimeraConfig::new(2, 8)).unwrap(), dapple(2, 8)] {
+        check_over_tcp(&sched, cfg, o.clone());
     }
 }
 
