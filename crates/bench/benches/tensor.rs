@@ -5,7 +5,7 @@
 #![allow(missing_docs)]
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use chimera_tensor::{gelu, layernorm, softmax_rows, Rng, Tensor};
+use chimera_tensor::{gelu, gelu_backward, layernorm, softmax_rows, Rng, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul");
@@ -23,11 +23,15 @@ fn bench_matmul(c: &mut Criterion) {
 fn bench_pointwise(c: &mut Criterion) {
     let mut rng = Rng::new(2);
     let x = Tensor::normal(256, 256, 1.0, &mut rng);
+    let dy = Tensor::normal(256, 256, 1.0, &mut rng);
     let gamma = vec![1.0f32; 256];
     let beta = vec![0.0f32; 256];
     let mut g = c.benchmark_group("pointwise_256x256");
     g.bench_function("softmax_rows", |b| b.iter(|| softmax_rows(black_box(&x))));
     g.bench_function("gelu", |b| b.iter(|| gelu(black_box(&x))));
+    g.bench_function("gelu_backward", |b| {
+        b.iter(|| gelu_backward(black_box(&x), black_box(&dy)));
+    });
     g.bench_function("layernorm", |b| {
         b.iter(|| layernorm(black_box(&x), &gamma, &beta));
     });

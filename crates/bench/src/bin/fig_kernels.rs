@@ -1,7 +1,8 @@
 //! Kernel-layer throughput harness: naive vs packed-panel vs
 //! packed+threaded GFLOP/s, backward-kernel rates for sim calibration, the
-//! zero-skip sparse entry point on 95%-zero input, and end-to-end training
-//! step time with the buffer pool on/off.
+//! zero-skip sparse entry point on 95%-zero input, GELU forward/backward
+//! element throughput, and end-to-end training step time with the buffer
+//! pool on/off.
 //!
 //! Writes `results/kernels.json` plus `BENCH_kernels.json` at the workspace
 //! root (the artifact CI uploads). The JSON carries a `calibration` section
@@ -13,7 +14,8 @@
 //!   the 512×1024×1024 headline shape the ROADMAP targets
 //! * `--check`      enforce the committed baseline
 //!   (`crates/bench/baselines/kernels.json`, >20% regression fails), the
-//!   `speedup_vs_naive ≥ 4.0` floor on the headline shape, threading
+//!   `speedup_vs_naive ≥ 4.0` floor on the headline shape, the GELU
+//!   forward and backward Gelem/s floor (same 20% rule), threading
 //!   (mt ≥ 1.5× 1t when ≥2 cores are actually available, mt ≥ 0.9× 1t
 //!   otherwise), and `end_to_end` pool ratio ≥ 1.0
 //! * `--threads N`  intra-op thread count (default: `max(4, cores)`)
@@ -28,7 +30,7 @@ use std::time::Instant;
 
 use chimera_bench::{arg_value, print_table, save_json};
 use chimera_nn::{ModelConfig, ReferenceTrainer, Stage, SyntheticData};
-use chimera_tensor::{kernels, pool, Rng, Tensor};
+use chimera_tensor::{gelu, gelu_backward, kernels, pool, Rng, Tensor};
 
 /// Time `body` (called repeatedly) and return mean seconds per call:
 /// at least `min_reps` calls and at least ~0.2 s of total wall clock.
@@ -134,6 +136,27 @@ fn bench_zero_skip(m: usize, k: usize, n: usize) -> (f64, f64) {
     (gflops(m, k, n, dense), gflops(m, k, n, skip))
 }
 
+/// GELU's shape in the ledger's wide model: fc1's output, `tokens × 4h`.
+const ELEMENTWISE: (usize, usize) = (256, 2048);
+
+/// Single-threaded GELU forward and backward throughput in Gelem/s at
+/// [`ELEMENTWISE`]. Both are one fused pass, so a libm call or a branch
+/// that breaks vectorization shows up as a drop of 20× or more.
+fn bench_elementwise() -> (f64, f64) {
+    let (rows, cols) = ELEMENTWISE;
+    let mut rng = Rng::new(9);
+    let x = Tensor::normal(rows, cols, 2.0, &mut rng);
+    let dy = Tensor::normal(rows, cols, 1.0, &mut rng);
+    let fwd = time_per_call(10, || {
+        std::hint::black_box(gelu(std::hint::black_box(&x)));
+    });
+    let bwd = time_per_call(10, || {
+        std::hint::black_box(gelu_backward(std::hint::black_box(&x), &dy));
+    });
+    let gelems = |secs: f64| (rows * cols) as f64 / secs / 1e9;
+    (gelems(fwd), gelems(bwd))
+}
+
 struct EndToEnd {
     pool_on_ms: f64,
     pool_off_ms: f64,
@@ -202,7 +225,12 @@ fn load_baseline() -> Option<serde_json::Value> {
     serde_json::from_str(&text).ok()
 }
 
-fn check_regressions(rows: &[MatmulRow], e2e: &EndToEnd, parallelism: usize) -> bool {
+fn check_regressions(
+    rows: &[MatmulRow],
+    gelu_gelems: (f64, f64),
+    e2e: &EndToEnd,
+    parallelism: usize,
+) -> bool {
     let Some(baseline) = load_baseline() else {
         eprintln!("--check: no readable baseline; failing");
         return false;
@@ -211,7 +239,25 @@ fn check_regressions(rows: &[MatmulRow], e2e: &EndToEnd, parallelism: usize) -> 
         eprintln!("--check: baseline missing tiled_mt_gflops; failing");
         return false;
     };
+    let Some(gelu_floor) = baseline
+        .get("gelu_gelems")
+        .and_then(serde_json::Value::as_f64)
+    else {
+        eprintln!("--check: baseline missing gelu_gelems; failing");
+        return false;
+    };
     let mut ok = true;
+    for (pass, rate) in [("forward", gelu_gelems.0), ("backward", gelu_gelems.1)] {
+        if rate >= 0.8 * gelu_floor {
+            println!("check gelu {pass}: {rate:.3} Gelem/s >= 0.8 x {gelu_floor:.3} ok");
+        } else {
+            eprintln!(
+                "check gelu {pass}: REGRESSION {rate:.3} Gelem/s < 0.8 x baseline \
+                 {gelu_floor:.3} (a libm call or a branch in the elementwise loop?)"
+            );
+            ok = false;
+        }
+    }
     for (shape, floor) in shapes {
         let Some(floor) = floor.as_f64() else {
             continue;
@@ -387,6 +433,18 @@ fn main() -> ExitCode {
         ]],
     );
 
+    let (gelu_fwd, gelu_bwd) = bench_elementwise();
+    let el_shape = format!("{}x{}", ELEMENTWISE.0, ELEMENTWISE.1);
+    print_table(
+        "Elementwise GELU (1t, Gelem/s)",
+        &["shape", "forward", "backward"],
+        &[vec![
+            el_shape.clone(),
+            format!("{gelu_fwd:.3}"),
+            format!("{gelu_bwd:.3}"),
+        ]],
+    );
+
     let e2e = bench_end_to_end(if smoke { 2 } else { 5 });
     print_table(
         "End-to-end reference-trainer step time",
@@ -436,6 +494,11 @@ fn main() -> ExitCode {
             "skip_gflops": skip_gf,
             "speedup": skip_gf / dense_gf,
         }),
+        "elementwise": serde_json::json!({
+            "shape": el_shape,
+            "gelu_fwd_gelems": gelu_fwd,
+            "gelu_bwd_gelems": gelu_bwd,
+        }),
         "end_to_end": serde_json::json!({
             "pool_on_ms_per_iter": e2e.pool_on_ms,
             "pool_off_ms_per_iter": e2e.pool_off_ms,
@@ -457,7 +520,7 @@ fn main() -> ExitCode {
     .expect("write BENCH_kernels.json");
     println!("[saved {bench_path}]");
 
-    if check && !check_regressions(&rows, &e2e, parallelism) {
+    if check && !check_regressions(&rows, (gelu_fwd, gelu_bwd), &e2e, parallelism) {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -25,7 +25,9 @@
 //! prefix, check it against [`MAX_FRAME`], and read the body straight into
 //! a buffer of that size. A receiver waits on a condition variable the
 //! readers notify on every delivery, so a message is picked up as soon as
-//! it is parked instead of at the next poll.
+//! it is parked instead of at the next poll. Inbound sockets run with
+//! `TCP_NODELAY` like outbound ones, so the small per-frame acks are not
+//! held back by Nagle's algorithm.
 //!
 //! # Sessions: retransmit, dedup, reconnect
 //!
@@ -69,7 +71,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -751,12 +753,20 @@ impl Drop for TcpEndpoint {
         // dead peer costs at most the cap.
         self.drain_unacked(self.ctx.connect_timeout.min(Duration::from_secs(2)));
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        // Closing outbound streams unblocks peers' readers promptly.
-        for link in &self.ctx.links {
-            link.lock().stream = None;
-        }
+        // Every thread below is woken instead of left to notice `shutdown`
+        // at its next tick or read timeout, so tearing an endpoint down
+        // takes no longer than the threads' current step.
         if let Some(h) = self.maintenance.take() {
+            h.thread().unpark();
             let _ = h.join();
+        }
+        // Shutting outbound sockets down (not just dropping our handle:
+        // each ack-reader holds a clone) ends the ack-readers and gives
+        // the peers' readers EOF at once.
+        for link in &self.ctx.links {
+            if let Some(stream) = link.lock().stream.take() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         }
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
@@ -784,7 +794,12 @@ fn maintenance_loop(ctx: Arc<SessionCtx>) {
         if ctx.shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        std::thread::sleep(TICK);
+        // `Drop` unparks this thread; an early wake only runs one
+        // iteration ahead, since every check below is elapsed-time based.
+        std::thread::park_timeout(TICK);
+        if ctx.shared.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
         let beat = last_hb.elapsed() >= ctx.heartbeat_every;
         if beat {
             last_hb = Instant::now();
@@ -1047,20 +1062,30 @@ fn read_frame_blocking(stream: &mut TcpStream) -> Result<(Rank, MsgKey, Payload)
 }
 
 /// Acceptor thread: poll the data listener, spawn one reader per inbound
-/// connection, join readers on shutdown.
+/// connection, join readers on shutdown. Each reader's socket has its
+/// read side shut down first, so a reader blocked on a live peer returns
+/// at once instead of at its next read timeout; the write side stays
+/// open, so an ack a reader is about to send still goes out.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut readers: Vec<(Option<TcpStream>, JoinHandle<()>)> = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
         }
         match listener.accept() {
             Ok((stream, _)) => {
+                // Readers write one small ack per frame: without this,
+                // Nagle holds each behind the peer's delayed ACK of the
+                // previous one, and a sender draining its retransmit
+                // buffer waits tens of milliseconds for the last acks.
+                let _ = stream.set_nodelay(true);
+                let handle = stream.try_clone().ok();
                 let shared = Arc::clone(&shared);
-                readers.push(std::thread::spawn(move || reader_loop(stream, shared)));
+                let h = std::thread::spawn(move || reader_loop(stream, shared));
+                readers.push((handle, h));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(1));
@@ -1068,7 +1093,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Err(_) => break,
         }
     }
-    for h in readers {
+    for (handle, _) in &readers {
+        if let Some(stream) = handle {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+    for (_, h) in readers {
         let _ = h.join();
     }
 }
@@ -1296,6 +1326,47 @@ mod tests {
             .unwrap();
         assert_eq!(back.into_flat(), vec![5.0]);
         assert!(eps[0].bytes_sent() > 0);
+    }
+
+    #[test]
+    fn teardown_wakes_threads_instead_of_waiting_on_timers() {
+        // Dropping an endpoint while its peer is still up must not wait
+        // out the readers' 50 ms read timeout, and draining a burst of
+        // small frames must not wait on acks held back by Nagle: either
+        // wait alone costs more than the bound. The median of a few
+        // rounds keeps one slow scheduling slice from failing the test.
+        let mut took = Vec::new();
+        for _ in 0..5 {
+            let eps = TcpFabric::loopback(2).expect("fabric");
+            for m in 0..4u64 {
+                eps[0]
+                    .send(1, act(m), Payload::Flat(vec![1.0; 256]))
+                    .unwrap();
+                eps[1]
+                    .recv_deadline(act(m), Duration::from_secs(5))
+                    .unwrap();
+                eps[1]
+                    .send(0, grad(m), Payload::Flat(vec![2.0; 256]))
+                    .unwrap();
+                eps[0]
+                    .recv_deadline(grad(m), Duration::from_secs(5))
+                    .unwrap();
+            }
+            for m in 4..24u64 {
+                eps[0]
+                    .send(1, act(m), Payload::Flat(vec![m as f32]))
+                    .unwrap();
+            }
+            let t = Instant::now();
+            drop(eps);
+            took.push(t.elapsed());
+        }
+        took.sort();
+        assert!(
+            took[2] < Duration::from_millis(25),
+            "median teardown {:?} (all: {took:?})",
+            took[2]
+        );
     }
 
     #[test]

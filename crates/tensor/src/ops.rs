@@ -1,19 +1,74 @@
 //! Nonlinear kernels shared by the transformer layers: softmax, GELU, and
 //! layer normalization, each with its exact backward.
+//!
+//! # Determinism of the elementwise nonlinearities
+//!
+//! Softmax and GELU use no libm transcendental. They are built on the
+//! crate-private [`exp`], which, like everything around it, uses only
+//! exactly-rounded IEEE operations (`+ − × ÷`, `mul_add`, clamping and bit
+//! casts). So their results are the same bits on any CPU and with any libm,
+//! and they need no runtime SIMD dispatch: the loops are plain branch-free
+//! Rust that LLVM vectorizes, and a vectorized lane computes exactly what the
+//! scalar remainder computes.
 
 use crate::tensor::Tensor;
 
+/// Inputs at or below this make [`exp`] return exactly `+0.0`: they round
+/// to `n = −127`, whose bit-cast scale `2ⁿ` is the all-zero word.
+const EXP_LO: f32 = -88.0;
+/// Inputs are clamped to this from above, so [`exp`] stays finite
+/// (`e⁸⁸ ≈ 1.65e38`) and quotients like `v / (1 + e)` never see `∞ / ∞`.
+const EXP_HI: f32 = 88.0;
+/// `1.5·2²³`: adding it to `|t| < 2²²` rounds `t` to an integer held in the
+/// low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+/// `ln 2` split for Cody–Waite reduction; `LN2_HI` has trailing zero bits so
+/// `n·LN2_HI` is exact for every `n` that survives the clamp.
+const LN2_HI: f32 = 0.693_145_75;
+const LN2_LO: f32 = 1.428_606_8e-6;
+/// Minimax coefficients of `eʳ − 1 ≈ r·(C1 + r·(C2 + … + r·C5))` on
+/// `|r| ≤ ln2/2`.
+const EXP_C1: f32 = 0.999_999_4;
+const EXP_C2: f32 = 0.499_991_27;
+const EXP_C3: f32 = 0.166_683_96;
+const EXP_C4: f32 = 0.041_899_767;
+const EXP_C5: f32 = 0.008_247_39;
+
+/// Branch-free `eˣ` from exactly-rounded ops only.
+///
+/// `x = n·ln2 + r` with `n = round(x·log2 e)`, then `eˣ = 2ⁿ·(1 + p(r))`
+/// with `2ⁿ` built by writing `n + 127` into the exponent field. Relative
+/// error is under `2⁻²²` on `[−87, 88]`; results are exactly `+0.0` at or
+/// below [`EXP_LO`], saturate at `e⁸⁸` above [`EXP_HI`], and NaN propagates.
+#[inline(always)]
+pub(crate) fn exp(x: f32) -> f32 {
+    let x = x.clamp(EXP_LO, EXP_HI);
+    let t = x.mul_add(std::f32::consts::LOG2_E, ROUND_MAGIC);
+    let n = t - ROUND_MAGIC;
+    let r = (-n).mul_add(LN2_LO, (-n).mul_add(LN2_HI, x));
+    // `t`'s low mantissa bits hold `n` (offset by the magic's own bits,
+    // which vanish in the shift): shifting `n + 127` into place is `2ⁿ`.
+    let scale = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
+    let r2 = r * r;
+    let hi = EXP_C5.mul_add(r, EXP_C4);
+    let lo = EXP_C3.mul_add(r, EXP_C2);
+    let p = hi.mul_add(r2, lo).mul_add(r2, EXP_C1 * r);
+    p.mul_add(scale, scale)
+}
+
 /// Row-wise softmax (numerically stabilized).
+///
+/// Probabilities whose logit sits 88 or more below the row maximum are
+/// exactly `0.0`, so causally masked entries (`−1e30`) stay exactly zero.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     let mut out = x.clone();
     for r in 0..out.rows() {
         let row = out.row_mut(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v = exp(*v - max);
         }
+        let sum: f32 = row.iter().sum();
         let inv = 1.0 / sum;
         for v in row.iter_mut() {
             *v *= inv;
@@ -39,22 +94,40 @@ pub fn softmax_rows_backward(y: &Tensor, dy: &Tensor) -> Tensor {
 }
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/π)
+const GELU_A: f32 = 0.044715;
+/// `z = −2u = v·(Z1 + Z3·v²)` for GELU's tanh argument
+/// `u = √(2/π)·(v + 0.044715·v³)`.
+const GELU_Z1: f32 = -2.0 * GELU_C;
+const GELU_Z3: f32 = -2.0 * GELU_C * GELU_A;
+/// `2u′ = D1 + D3·v²`.
+const GELU_D1: f32 = 2.0 * GELU_C;
+const GELU_D3: f32 = 6.0 * GELU_C * GELU_A;
+/// The backward evaluates its derivative at `v` clamped to `±GELU_SAT`.
+/// Beyond it `gelu′` is `0` or `1` to within `1e−30`, and the clamp keeps
+/// `v = ±∞` from meeting a zero factor (`∞·0 = NaN`).
+const GELU_SAT: f32 = 10.0;
 
 /// GELU activation (tanh approximation).
+///
+/// Uses `0.5·v·(1 + tanh u) = v / (1 + e^(−2u))`: one [`exp`] and one
+/// division per element, in one pass into a pool buffer.
 pub fn gelu(x: &Tensor) -> Tensor {
-    x.map(|v| 0.5 * v * (1.0 + (GELU_C * (v + 0.044715 * v * v * v)).tanh()))
+    x.map(|v| v / (1.0 + exp(v * GELU_Z3.mul_add(v * v, GELU_Z1))))
 }
 
-/// Backward of [`gelu`]: `dx = dy * gelu'(x)`.
+/// Backward of [`gelu`]: `dx = dy * gelu'(x)`, fused into one pass.
+///
+/// With `s = 1 / (1 + e^(−2u))`, `gelu = v·s` and
+/// `gelu′ = s + 2·v·s·(1 − s)·u′`, where `1 − s` is formed as `e^(−2u)·s`
+/// to avoid cancellation.
 pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
-    assert_eq!((x.rows(), x.cols()), (dy.rows(), dy.cols()));
-    let grad = x.map(|v| {
-        let inner = GELU_C * (v + 0.044715 * v * v * v);
-        let t = inner.tanh();
-        let sech2 = 1.0 - t * t;
-        0.5 * (1.0 + t) + 0.5 * v * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * v * v)
-    });
-    grad.hadamard(dy)
+    x.zip_map(dy, |v, g| {
+        let v = v.clamp(-GELU_SAT, GELU_SAT);
+        let v2 = v * v;
+        let e = exp(v * GELU_Z3.mul_add(v2, GELU_Z1));
+        let s = 1.0 / (1.0 + e);
+        g * (v * s * (e * s)).mul_add(GELU_D3.mul_add(v2, GELU_D1), s)
+    })
 }
 
 /// Stash produced by [`layernorm`] for its backward.
@@ -179,6 +252,27 @@ mod tests {
     }
 
     #[test]
+    fn softmax_masked_entries_are_exactly_zero() {
+        let mut rng = Rng::new(7);
+        for len in 1..=67 {
+            let mut x = Tensor::normal(len, len, 8.0, &mut rng);
+            for i in 0..len {
+                for j in (i + 1)..len {
+                    x.set(i, j, -1e30);
+                }
+            }
+            let y = softmax_rows(&x);
+            for i in 0..len {
+                let s: f32 = y.row(i).iter().sum();
+                assert!((s - 1.0).abs() < 1e-5, "row {i} of {len} sums to {s}");
+                for j in (i + 1)..len {
+                    assert_eq!(y.get(i, j).to_bits(), 0.0f32.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn softmax_backward_matches_numeric() {
         let mut rng = Rng::new(2);
         let x = Tensor::normal(3, 5, 1.0, &mut rng);
@@ -207,6 +301,123 @@ mod tests {
         let analytic = gelu_backward(&x, &w);
         let numeric = num_grad(&x, &w, gelu);
         assert!(analytic.max_abs_diff(&numeric) < 2e-3);
+    }
+
+    /// f64 reference of the tanh-form GELU and its derivative.
+    fn gelu_ref(v: f64) -> (f64, f64) {
+        let c = (2.0 / std::f64::consts::PI).sqrt();
+        let a = 0.044715;
+        let t = (c * (v + a * v * v * v)).tanh();
+        let y = 0.5 * v * (1.0 + t);
+        let dy = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * c * (1.0 + 3.0 * a * v * v);
+        (y, dy)
+    }
+
+    /// Error measured absolutely, or relatively where `|reference| > 1`.
+    fn scaled_err(got: f32, want: f64) -> f64 {
+        (f64::from(got) - want).abs() / want.abs().max(1.0)
+    }
+
+    #[test]
+    fn gelu_matches_f64_reference_on_dense_grid() {
+        let xs: Vec<f32> = (-120_000..=120_000).map(|i| i as f32 * 1e-4).collect();
+        let x = Tensor::from_vec(1, xs.len(), xs.clone());
+        let ones = Tensor::from_vec(1, xs.len(), vec![1.0; xs.len()]);
+        let y = gelu(&x);
+        let dx = gelu_backward(&x, &ones);
+        let (mut fwd, mut bwd) = (0.0f64, 0.0f64);
+        for (i, &v) in xs.iter().enumerate() {
+            let (ry, rd) = gelu_ref(f64::from(v));
+            fwd = fwd.max(scaled_err(y.data()[i], ry));
+            bwd = bwd.max(scaled_err(dx.data()[i], rd));
+        }
+        assert!(fwd <= 2e-7, "forward max error {fwd:e}");
+        assert!(bwd <= 4e-6, "backward max error {bwd:e}");
+    }
+
+    #[test]
+    fn gelu_special_values() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+            1e4,
+            -1e4,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let x = Tensor::from_vec(1, specials.len(), specials.to_vec());
+        let ones = Tensor::from_vec(1, specials.len(), vec![1.0; specials.len()]);
+        let y = gelu(&x);
+        let dx = gelu_backward(&x, &ones);
+        for (i, &v) in specials.iter().enumerate() {
+            assert!(!y.data()[i].is_nan(), "gelu({v:e}) is NaN");
+            assert!(!dx.data()[i].is_nan(), "gelu'({v:e}) is NaN");
+        }
+        // Signed zeros map to themselves; the slope there is exactly 1/2.
+        assert_eq!(y.data()[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(y.data()[1].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(dx.data()[0], 0.5);
+        assert_eq!(y.data()[6], 1e4);
+        assert_eq!(y.data()[8], f32::INFINITY);
+        assert_eq!(dx.data()[6], 1.0);
+        assert!(dx.data()[7].abs() < 1e-30);
+
+        let nan = Tensor::from_vec(1, 1, vec![f32::NAN]);
+        let one = Tensor::from_vec(1, 1, vec![1.0]);
+        assert!(gelu(&nan).data()[0].is_nan());
+        assert!(gelu_backward(&nan, &one).data()[0].is_nan());
+        assert!(gelu_backward(&one, &nan).data()[0].is_nan());
+    }
+
+    #[test]
+    fn gelu_vector_body_bit_equals_scalar_tail() {
+        let mut rng = Rng::new(6);
+        for len in 1..=67 {
+            let x = Tensor::normal(1, len, 4.0, &mut rng);
+            let dy = Tensor::normal(1, len, 1.0, &mut rng);
+            let y = gelu(&x);
+            let dx = gelu_backward(&x, &dy);
+            for i in 0..len {
+                let xi = Tensor::from_vec(1, 1, vec![x.data()[i]]);
+                let dyi = Tensor::from_vec(1, 1, vec![dy.data()[i]]);
+                assert_eq!(
+                    y.data()[i].to_bits(),
+                    gelu(&xi).data()[0].to_bits(),
+                    "gelu len {len} elem {i}"
+                );
+                assert_eq!(
+                    dx.data()[i].to_bits(),
+                    gelu_backward(&xi, &dyi).data()[0].to_bits(),
+                    "gelu_backward len {len} elem {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exp_accuracy_monotonicity_and_underflow() {
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        let mut worst = 0.0f64;
+        let mut prev = 0.0f32;
+        for i in -870_000..=880_000 {
+            let x = i as f32 * 1e-4;
+            let got = exp(x);
+            let want = f64::from(x).exp();
+            worst = worst.max((f64::from(got) - want).abs() / want);
+            assert!(got >= prev, "exp not monotone at {x}: {got:e} < {prev:e}");
+            prev = got;
+        }
+        assert!(worst <= 2f64.powi(-22), "exp max relative error {worst:e}");
+        for x in [-88.0f32, -88.5, -100.0, -1e30, f32::NEG_INFINITY] {
+            assert_eq!(exp(x).to_bits(), 0.0f32.to_bits(), "exp({x:e})");
+        }
+        assert!(exp(f32::NAN).is_nan());
+        assert!(exp(f32::INFINITY).is_finite());
     }
 
     #[test]
