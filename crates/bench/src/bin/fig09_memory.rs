@@ -6,16 +6,23 @@
 //! PipeDream heaviest on stage 0 (D weight versions), DAPPLE/PipeDream-2BW
 //! peak on worker 0 (activations + embedding), Chimera balanced and at or
 //! below DAPPLE's peak despite holding two stage replicas.
+//!
+//! Peaks are the exact liveness peaks the planner admits plans on. The
+//! asynchronous schemes are built in their steady state, as the planner
+//! builds them: weight versions exist only across the updates of an
+//! unrolled span, so a single iteration would under-count them.
 
 use chimera_bench::{print_table, save_json};
-use chimera_core::baselines::{dapple, gems, gpipe, pipedream, pipedream_2bw};
+use chimera_core::baselines::{dapple, gems, gpipe, pipedream_2bw_steady, pipedream_steady};
 use chimera_core::chimera::{chimera, ChimeraConfig};
 use chimera_core::schedule::{Schedule, Scheme};
-use chimera_core::unit_time::execute_with;
 use chimera_perf::{ClusterSpec, ModelSpec, TrainConfig};
-use chimera_sim::{memory, SimCostModel};
+use chimera_sim::memory;
 
 const GIB: f64 = (1u64 << 30) as f64;
+
+/// Steady-state iterations of the asynchronous schemes (the planner's).
+const ASYNC_ITERS: u32 = 6;
 
 fn build(scheme: Scheme, d: u32, n: u32) -> Schedule {
     match scheme {
@@ -23,14 +30,9 @@ fn build(scheme: Scheme, d: u32, n: u32) -> Schedule {
         Scheme::Dapple => dapple(d, n),
         Scheme::Gems => gems(d, n.max(2) & !1),
         Scheme::Chimera => chimera(&ChimeraConfig::new(d, n)).unwrap(),
-        Scheme::PipeDream => pipedream(d, d),
-        Scheme::PipeDream2Bw => pipedream_2bw(d, n),
+        Scheme::PipeDream => pipedream_steady(d, d, ASYNC_ITERS),
+        Scheme::PipeDream2Bw => pipedream_2bw_steady(d, n, ASYNC_ITERS),
     }
-}
-
-fn peaks(sched: &Schedule, cost: &SimCostModel) -> Vec<u64> {
-    let tl = execute_with(sched, cost).expect("schedule executes");
-    memory::peak_memory_bytes(sched, cost, &tl)
 }
 
 fn main() {
@@ -63,7 +65,7 @@ fn main() {
                     stage_replicas: replicas,
                 }
                 .cost_model();
-                let pk = peaks(&sched, &cost);
+                let pk = memory::profile(&sched, &cost).peak_mem_bytes;
                 let max = *pk.iter().max().unwrap();
                 let min = *pk.iter().min().unwrap();
                 let oom = max > capacity;

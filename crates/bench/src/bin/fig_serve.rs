@@ -82,14 +82,14 @@ fn check_response(v: &Value) -> Result<(), String> {
         if r["verified"] != serde_json::json!(true) {
             return Err(format!("unverified schedule served: {r}"));
         }
-        // Every served plan carries its exact liveness peak.
-        if r["memory"]["schema"].as_str() != Some("memory/v2") {
-            return Err(format!("missing memory/v2 summary: {r}"));
+        // Every served plan carries its exact liveness peak, and it is the
+        // peak the planner admitted the plan on.
+        if r["memory"]["schema"].as_str() != Some("memory/v3") {
+            return Err(format!("missing memory/v3 summary: {r}"));
         }
         let exact = r["memory"]["exact_peak_bytes"].as_u64().unwrap_or(0);
-        let coarse_slack = r["memory"]["min_slack_ratio"].as_f64().unwrap_or(0.0);
-        if exact == 0 || coarse_slack < 1.0 {
-            return Err(format!("implausible memory/v2 summary: {r}"));
+        if exact == 0 || r["peak_mem_bytes"].as_u64() != Some(exact) {
+            return Err(format!("implausible memory/v3 summary: {r}"));
         }
     }
     Ok(())

@@ -5,6 +5,7 @@ use chimera_bench::{print_table, save_json};
 use chimera_core::analysis::table2;
 use chimera_core::baselines::{dapple, gems, gpipe, pipedream_2bw_steady, pipedream_steady};
 use chimera_core::chimera::{chimera, ChimeraConfig};
+use chimera_core::liveness::analyze;
 use chimera_core::schedule::{Schedule, Scheme};
 use chimera_core::unit_time::{execute, UnitCosts};
 
@@ -54,7 +55,7 @@ fn main() {
         );
         let tl = execute(&sched, UnitCosts::practical()).unwrap();
         let measured_bubble = tl.bubble_ratio();
-        let acts = &tl.peak_activations;
+        let acts = analyze(&sched, &UnitCosts::practical()).peak;
         let act_min = acts.iter().copied().fold(f64::INFINITY, f64::min);
         let act_max = acts.iter().copied().fold(0.0f64, f64::max);
         rows.push(vec![

@@ -4,6 +4,7 @@
 use chimera_bench::{print_table, save_json};
 use chimera_core::analysis::table3;
 use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
+use chimera_core::liveness::analyze;
 use chimera_core::unit_time::{execute, UnitCosts};
 use chimera_core::WorkerId;
 
@@ -23,7 +24,7 @@ fn main() {
         })
         .unwrap();
         let tl = execute(&sched, UnitCosts::equal()).unwrap();
-        let acts = &tl.peak_activations;
+        let acts = analyze(&sched, &UnitCosts::equal()).peak;
         let act_min = acts.iter().copied().fold(f64::INFINITY, f64::min);
         let act_max = acts.iter().copied().fold(0.0f64, f64::max);
         // Weights replicas held per worker.

@@ -210,6 +210,7 @@ pub fn pipedream_2bw_steady(d: u32, n: u32, iters: u32) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::liveness::analyze;
     use crate::op::OpKind;
     use crate::unit_time::{execute, UnitCosts};
 
@@ -227,7 +228,7 @@ mod tests {
                 expected
             );
             // Activations proportional to N on the first worker.
-            assert_eq!(tl.peak_activations[0], n as f64);
+            assert_eq!(analyze(&s, &UnitCosts::practical()).peak[0], n as f64);
         }
     }
 
@@ -238,14 +239,15 @@ mod tests {
             let a = execute(&dapple(d, n), UnitCosts::practical()).unwrap();
             assert_eq!(g.makespan, a.makespan, "same bubble overhead");
             // DAPPLE stashes at most min(D - s, n) micros (Table 2: [Ma, D*Ma]).
-            for (s, peak) in a.peak_activations.iter().enumerate() {
+            let peaks = analyze(&dapple(d, n), &UnitCosts::practical()).peak;
+            for (s, peak) in peaks.iter().enumerate() {
                 let bound = (d - s as u32).min(n) as f64;
                 assert!(
                     (*peak - bound).abs() < 1e-9,
                     "stage {s}: peak {peak} != {bound}"
                 );
             }
-            assert_eq!(*a.peak_activations.last().unwrap(), 1.0);
+            assert_eq!(*peaks.last().unwrap(), 1.0);
         }
     }
 
@@ -283,9 +285,9 @@ mod tests {
     #[test]
     fn gems_low_activation_memory() {
         let s = gems(8, 8);
-        let tl = execute(&s, UnitCosts::practical()).unwrap();
+        execute(&s, UnitCosts::practical()).unwrap();
         // At most the two active micro-batches are stashed anywhere.
-        for peak in &tl.peak_activations {
+        for peak in &analyze(&s, &UnitCosts::practical()).peak {
             assert!(*peak <= 2.0 + 1e-9);
         }
     }

@@ -352,6 +352,7 @@ fn standalone_slots(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::liveness::analyze;
     use crate::op::Op;
 
     fn render(ops: &[Op]) -> String {
@@ -484,8 +485,8 @@ mod tests {
             let n = k * d;
             let s = chimera(&ChimeraConfig::new(d, n)).unwrap();
             assert_eq!(s.num_compute_ops(), (n * d * 2) as usize);
-            let tl = execute(&s, UnitCosts::practical()).unwrap();
-            for peak in &tl.peak_activations {
+            execute(&s, UnitCosts::practical()).unwrap();
+            for peak in &analyze(&s, &UnitCosts::practical()).peak {
                 assert!(*peak <= d as f64 + 1e-9, "k={k} peak {peak}");
             }
         }

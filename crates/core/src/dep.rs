@@ -31,23 +31,10 @@ pub(crate) struct DepTracker {
     comm_busy: Vec<u64>,
     launch_count: HashMap<(WorkerId, StageId), usize>,
     wait_count: HashMap<(WorkerId, StageId), usize>,
-    /// `(replica, stage)` pairs whose backward recomputes, so their forwards
-    /// only stash the stage-boundary input.
-    recomputing: Vec<(ReplicaId, StageId)>,
 }
 
 impl DepTracker {
-    pub(crate) fn new<'a>(
-        d: u32,
-        placement: &Placement,
-        all_ops: impl Iterator<Item = &'a Op>,
-    ) -> Self {
-        let mut recomputing = Vec::new();
-        for op in all_ops {
-            if op.recomputes() && !recomputing.contains(&(op.replica, op.stage)) {
-                recomputing.push((op.replica, op.stage));
-            }
-        }
+    pub(crate) fn new(d: u32, placement: &Placement) -> Self {
         DepTracker {
             d,
             placement: placement.clone(),
@@ -58,7 +45,6 @@ impl DepTracker {
             comm_busy: vec![0; d as usize],
             launch_count: HashMap::new(),
             wait_count: HashMap::new(),
-            recomputing,
         }
     }
 
@@ -175,11 +161,5 @@ impl DepTracker {
                 *self.wait_count.entry((w, op.stage)).or_insert(0) += 1;
             }
         }
-    }
-
-    /// Whether `op`'s forward only stashes the stage-boundary input because
-    /// the matching backward recomputes.
-    pub(crate) fn stashes_boundary_only(&self, op: &Op) -> bool {
-        self.recomputing.contains(&(op.replica, op.stage))
     }
 }

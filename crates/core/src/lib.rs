@@ -19,9 +19,13 @@
 //!   and PipeDream-2BW ([`baselines`]);
 //! * gradient-synchronization placement (§3.2): post-hoc, eager, and
 //!   eager-opt ([`sync`]);
-//! * an abstract-cost executor ([`unit_time`]) for timing, bubble-ratio and
-//!   activation-memory analysis, plus schedule validation ([`validate`]) and
-//!   the closed-form Table 2/3 formulas ([`analysis`]).
+//! * an abstract-cost executor ([`unit_time`]) for timing and bubble-ratio
+//!   analysis, plus schedule validation ([`validate`]) and the closed-form
+//!   Table 2/3 formulas ([`analysis`]);
+//! * the buffer-liveness engine ([`liveness`]), the single model of when
+//!   activation stashes, rematerializations, weight versions and gradient
+//!   buffers are live — every memory number in the workspace is a view of
+//!   one [`liveness::analyze`] pass.
 //!
 //! ```
 //! use chimera_core::chimera::{chimera, ChimeraConfig};
@@ -39,6 +43,7 @@ pub mod chimera;
 pub mod compact;
 mod dep;
 pub mod ids;
+pub mod liveness;
 pub mod named;
 pub mod onefb;
 pub mod op;

@@ -1,8 +1,11 @@
-//! Whole-schedule buffer-liveness dataflow engine.
+//! Whole-schedule buffer-liveness dataflow engine: the one memory model.
 //!
-//! [`memory`](crate::memory) proves the *activation peak* by replaying stash
-//! deltas; this module generalizes that replay into a register-allocator-style
-//! dataflow analysis over **every buffer a worker holds across ops**:
+//! Every memory number in the workspace — the activation peaks of Table 2/3,
+//! the simulator's per-worker peak bytes (Fig. 9), the verifier's exact
+//! `memory/v3` report, the planner's fit test, and the runtime's pool
+//! pre-sizing plan — is a view of one [`analyze`] pass. It is a
+//! register-allocator-style def/use/kill walk over **every buffer a worker
+//! holds across ops**:
 //!
 //! * **Stash halves** — a forward defines one buffer per half-micro it covers
 //!   (forward doubling defines four, backward halving kills one at a time),
@@ -20,31 +23,27 @@
 //!
 //! Every buffer gets an exact live range `[def, kill]` (op indices, inclusive
 //! on both ends: a buffer killed *by* op `i` is still resident while `i`
-//! runs). From the ranges the engine derives:
+//! runs). Each worker runs its ops sequentially, so its allocation events
+//! happen in program order whatever the op timings are; the walk therefore
+//! needs no timeline. From the ranges the engine derives:
 //!
 //! 1. an **exact peak** per worker — the max prefix sum of def/kill deltas in
-//!    program order, which reproduces `Timeline::peak_activations` bit-for-bit
-//!    when versions and gradients are sized 0 (property-tested);
+//!    program order;
 //! 2. the **memory cliff** — the op whose execution first reaches the peak,
 //!    with a per-kind breakdown at that instant;
 //! 3. **interference**: two buffers interfere iff their ranges overlap; a
-//!    deterministic linear scan over the interval graph assigns buffers to
-//!    size-classed slots, and — intervals being an interval graph — uses
-//!    exactly max-clique many slots per class (also the pool pre-sizing
-//!    number the runtime consumes);
-//! 4. lints with exact ranges: `stash_overlap_range` (a forward re-defines a
-//!    half whose previous buffer is still live, reported def→def) and
-//!    `stash_use_after_free` (a backward kills a half with no live buffer).
+//!    deterministic linear scan over the interval graph ([`assign_slots`])
+//!    uses exactly max-clique many slots ([`max_overlap`]) — the pool
+//!    pre-sizing number the runtime consumes;
+//! 4. lifetime findings with exact ranges ([`LifetimeFinding`]): a forward
+//!    re-defining a half whose previous buffer is still live, and a backward
+//!    killing a half with no live buffer.
 
 use std::collections::HashMap;
 
-use chimera_core::op::{Chunk, Op, OpKind};
-use chimera_core::schedule::Schedule;
-use chimera_core::unit_time::CostProvider;
-use chimera_core::StageId;
-use chimera_sim::SimCostModel;
-
-use crate::{Diagnostic, OpLoc, Severity};
+use crate::ids::StageId;
+use crate::op::{Chunk, Op, OpKind};
+use crate::schedule::Schedule;
 
 /// What a live buffer holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,7 +112,8 @@ impl BufferLife {
 }
 
 /// Buffer sizes for the four buffer kinds. Implementations choose the unit:
-/// abstract activation units, simulator bytes, or measured runtime bytes.
+/// abstract activation units ([`crate::UnitCosts`]), simulator bytes, or
+/// measured runtime f32 elements.
 pub trait BufferSizes {
     /// Full activation stash of one compute op (all halves it covers).
     fn full_stash(&self, op: &Op) -> f64;
@@ -123,49 +123,6 @@ pub trait BufferSizes {
     fn weight_version(&self, stage: StageId) -> f64;
     /// One backward's flat gradient contribution.
     fn grad_contribution(&self, op: &Op) -> f64;
-}
-
-/// Activation-only sizing over any [`CostProvider`]: weight versions and
-/// gradient contributions are 0, so the liveness peak equals the executor's
-/// `peak_activations` (and [`crate::memory::static_peak_activations`])
-/// exactly.
-pub struct ActivationSizes<'a, C: CostProvider>(pub &'a C);
-
-impl<C: CostProvider> BufferSizes for ActivationSizes<'_, C> {
-    fn full_stash(&self, op: &Op) -> f64 {
-        self.0.full_stash(op)
-    }
-    fn boundary_stash(&self, op: &Op) -> f64 {
-        self.0.boundary_stash(op)
-    }
-    fn weight_version(&self, _stage: StageId) -> f64 {
-        0.0
-    }
-    fn grad_contribution(&self, _op: &Op) -> f64 {
-        0.0
-    }
-}
-
-/// Simulator-byte sizing: stashes in `act_bytes`, weight versions in
-/// `param_bytes`. Gradient contributions are sized 0 — the paper's Table-2
-/// memory model folds the gradient accumulation buffer into the resident
-/// `grad_opt_bytes`, and the coarse bound this analysis is cross-checked
-/// against does the same.
-pub struct SimSizes<'a>(pub &'a SimCostModel);
-
-impl BufferSizes for SimSizes<'_> {
-    fn full_stash(&self, op: &Op) -> f64 {
-        CostProvider::full_stash(self.0, op)
-    }
-    fn boundary_stash(&self, op: &Op) -> f64 {
-        CostProvider::boundary_stash(self.0, op)
-    }
-    fn weight_version(&self, stage: StageId) -> f64 {
-        self.0.stages[stage.idx()].param_bytes as f64
-    }
-    fn grad_contribution(&self, _op: &Op) -> f64 {
-        0.0
-    }
 }
 
 /// Peak breakdown by buffer kind, in the size model's unit.
@@ -192,6 +149,43 @@ impl KindBreakdown {
     }
 }
 
+/// A lifetime defect the walk found. Only malformed schedules produce these;
+/// `chimera-verify` reports them as `stash_overlap_range` and
+/// `stash_use_after_free` diagnostics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LifetimeFinding {
+    /// A forward re-stashes a half whose previous buffer is still live: the
+    /// live ranges overlap and the earlier activations are lost.
+    StashOverlap {
+        /// Worker index.
+        worker: usize,
+        /// Replica of the clobbered stash.
+        replica: u32,
+        /// Stage of the clobbered stash.
+        stage: u32,
+        /// Half-micro id (`2·micro + h`).
+        half: u64,
+        /// Op index that defined the still-live buffer.
+        live_def: usize,
+        /// Op index of the re-stashing forward.
+        at: usize,
+    },
+    /// A backward frees a half with no live buffer (never stashed, or
+    /// already freed).
+    UseAfterFree {
+        /// Worker index.
+        worker: usize,
+        /// Replica of the freed stash.
+        replica: u32,
+        /// Stage of the freed stash.
+        stage: u32,
+        /// Half-micro id (`2·micro + h`).
+        half: u64,
+        /// Op index of the freeing backward.
+        at: usize,
+    },
+}
+
 /// The dataflow engine's result for one schedule.
 #[derive(Debug, Clone)]
 pub struct LivenessReport {
@@ -204,8 +198,21 @@ pub struct LivenessReport {
     pub cliff: Vec<Option<usize>>,
     /// Per-kind breakdown at the cliff, per worker.
     pub breakdown: Vec<KindBreakdown>,
-    /// Lifetime lints: `stash_overlap_range`, `stash_use_after_free`.
-    pub diagnostics: Vec<Diagnostic>,
+    /// Lifetime defects, in walk order (empty for well-formed schedules).
+    pub findings: Vec<LifetimeFinding>,
+}
+
+/// The `(replica, stage)` pairs whose backward recomputes: their forwards
+/// stash only the stage-boundary input. The single definition of that set,
+/// shared by [`analyze`] and the runtime's pool census.
+pub fn recomputing(sched: &Schedule) -> Vec<(u32, u32)> {
+    let mut v = Vec::new();
+    for (_, _, op) in sched.iter_ops() {
+        if op.recomputes() && !v.contains(&(op.replica.0, op.stage.0)) {
+            v.push((op.replica.0, op.stage.0));
+        }
+    }
+    v
 }
 
 /// Per-`(replica, stage)` weight-version walk state.
@@ -234,25 +241,15 @@ fn halves(op: &Op) -> Vec<u64> {
 }
 
 /// Run the dataflow analysis over every worker of `sched` under `sizes`.
-pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
-    // A (replica, stage) whose backward recomputes stashes only the boundary
-    // input at its forwards — mirrors `memory::static_peak_activations`.
-    let recomputing: Vec<(u32, u32)> = {
-        let mut v = Vec::new();
-        for (_, _, op) in sched.iter_ops() {
-            if op.recomputes() && !v.contains(&(op.replica.0, op.stage.0)) {
-                v.push((op.replica.0, op.stage.0));
-            }
-        }
-        v
-    };
+pub fn analyze<S: BufferSizes + ?Sized>(sched: &Schedule, sizes: &S) -> LivenessReport {
+    let recomputing = recomputing(sched);
     let stash_weights = !sched.flushes;
 
     let mut lives: Vec<Vec<BufferLife>> = Vec::with_capacity(sched.num_workers());
     let mut peaks = Vec::with_capacity(sched.num_workers());
     let mut cliffs = Vec::with_capacity(sched.num_workers());
     let mut breakdowns = Vec::with_capacity(sched.num_workers());
-    let mut diagnostics = Vec::new();
+    let mut findings = Vec::new();
 
     for (w, ops) in sched.workers.iter().enumerate() {
         let mut wl: Vec<BufferLife> = Vec::new();
@@ -291,19 +288,13 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                     for half in nh {
                         if let Some(&prev) = open_stash.get(&(rs.0, rs.1, half)) {
                             let plife = wl[prev];
-                            diagnostics.push(Diagnostic {
-                                code: "stash_overlap_range",
-                                severity: Severity::Error,
-                                message: format!(
-                                    "P{w} re-stashes half {half} of s{}/r{} at op #{i} while \
-                                     the buffer defined at op #{} is still live — the live \
-                                     ranges overlap and the earlier activations are lost",
-                                    rs.1, rs.0, plife.def
-                                ),
-                                locations: vec![
-                                    OpLoc::of(sched, w, plife.def),
-                                    OpLoc::of(sched, w, i),
-                                ],
+                            findings.push(LifetimeFinding::StashOverlap {
+                                worker: w,
+                                replica: rs.0,
+                                stage: rs.1,
+                                half,
+                                live_def: plife.def,
+                                at: i,
                             });
                             // Close the clobbered buffer here so accounting
                             // stays bounded on broken schedules.
@@ -377,15 +368,12 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
                                 wl[idx].kill = i;
                                 cur[BufferKind::Stash.idx()] -= wl[idx].size;
                             }
-                            None => diagnostics.push(Diagnostic {
-                                code: "stash_use_after_free",
-                                severity: Severity::Error,
-                                message: format!(
-                                    "P{w} backward at op #{i} frees half {half} of s{}/r{} \
-                                     with no live buffer (never stashed, or already freed)",
-                                    rs.1, rs.0
-                                ),
-                                locations: vec![OpLoc::of(sched, w, i)],
+                            None => findings.push(LifetimeFinding::UseAfterFree {
+                                worker: w,
+                                replica: rs.0,
+                                stage: rs.1,
+                                half,
+                                at: i,
                             }),
                         }
                     }
@@ -472,7 +460,7 @@ pub fn analyze<S: BufferSizes>(sched: &Schedule, sizes: &S) -> LivenessReport {
         peak: peaks,
         cliff: cliffs,
         breakdown: breakdowns,
-        diagnostics,
+        findings,
     }
 }
 
@@ -539,41 +527,9 @@ pub fn max_overlap(intervals: &[(usize, usize)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chimera_core::baselines::{dapple, gpipe, pipedream_steady};
-    use chimera_core::chimera::{chimera, ChimeraConfig, ScaleMethod};
-    use chimera_core::unit_time::UnitCosts;
-
-    #[test]
-    fn activation_peak_matches_memory_module() {
-        let mut costs = UnitCosts::practical();
-        costs.recompute_stash_fraction = 0.25;
-        for s in [
-            gpipe(4, 8),
-            dapple(4, 8),
-            chimera(&ChimeraConfig::new(4, 8)).unwrap(),
-            chimera(&ChimeraConfig {
-                d: 4,
-                n: 16,
-                f: 1,
-                scale: ScaleMethod::BackwardHalving,
-            })
-            .unwrap(),
-        ] {
-            let old = crate::memory::static_peak_activations(&s, &costs);
-            let new = analyze(&s, &ActivationSizes(&costs));
-            assert!(new.diagnostics.is_empty(), "{:?}", new.diagnostics);
-            for w in 0..s.num_workers() {
-                assert!(
-                    (old.units[w] - new.peak[w]).abs() < 1e-9,
-                    "{:?} worker {w}: memory.rs {} vs liveness {}",
-                    s.scheme,
-                    old.units[w],
-                    new.peak[w]
-                );
-                assert_eq!(old.peak_op[w], new.cliff[w], "{:?} worker {w}", s.scheme);
-            }
-        }
-    }
+    use crate::baselines::{dapple, gpipe, pipedream_2bw_steady, pipedream_steady};
+    use crate::chimera::{chimera, ChimeraConfig, ScaleMethod};
+    use crate::unit_time::UnitCosts;
 
     #[test]
     fn abutting_ranges_interfere_but_disjoint_do_not() {
@@ -609,35 +565,128 @@ mod tests {
         assert_eq!(slots[0], slots[2], "disjoint interval reuses the slot");
     }
 
-    #[test]
-    fn pipedream_versions_match_table2_steady_state() {
-        // PipeDream at stage s keeps up to D−s weight versions (Table 2).
-        // The copy-on-update walk materializes superseded versions only, so
-        // extra buffers ≤ D−s per worker (the resident copy is not a
-        // liveness buffer).
-        let d = 4;
-        let s = pipedream_steady(d, d, 4);
-        let sizes = ProbeSizes;
-        let rep = analyze(&s, &sizes);
-        assert!(rep.diagnostics.is_empty());
-        for (w, lives) in rep.lives.iter().enumerate() {
-            let max_versions = max_overlap(
-                &lives
-                    .iter()
-                    .filter(|b| b.kind == BufferKind::WeightVersion)
-                    .map(|b| (b.def, b.kill))
-                    .collect::<Vec<_>>(),
-            );
-            assert!(
-                max_versions as u32 <= d - w as u32,
-                "worker {w}: {max_versions} versions > D−s bound {}",
-                d - w as u32
-            );
-        }
-        // Stage 0 really does stash versions in steady state.
-        assert!(rep.lives[0]
+    /// Peak weight versions per worker: unit-sized versions, nothing else.
+    fn peak_versions(sched: &Schedule) -> Vec<usize> {
+        let rep = analyze(sched, &ProbeSizes);
+        assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+        rep.lives
             .iter()
-            .any(|b| b.kind == BufferKind::WeightVersion));
+            .map(|lives| {
+                max_overlap(
+                    &lives
+                        .iter()
+                        .filter(|b| b.kind == BufferKind::WeightVersion)
+                        .map(|b| (b.def, b.kill))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pipedream_keeps_d_minus_s_versions_at_stage_s() {
+        // Table 2: PipeDream at stage s keeps D−s weight versions in steady
+        // state — the resident copy plus D−s−1 superseded-but-referenced
+        // ones the copy-on-update walk materializes.
+        let d = 4;
+        let versions = peak_versions(&pipedream_steady(d, d, 4));
+        for (s, &v) in versions.iter().enumerate() {
+            assert_eq!(v + 1, (d as usize) - s, "stage {s}: {versions:?}");
+        }
+    }
+
+    #[test]
+    fn two_bw_keeps_at_most_two_versions() {
+        // Table 2: PipeDream-2BW double-buffers — at most one superseded
+        // version beside the resident copy, and stage 0 really uses it.
+        let d = 4;
+        let versions = peak_versions(&pipedream_2bw_steady(d, 2 * d, 4));
+        assert!(versions.iter().all(|&v| v <= 1), "{versions:?}");
+        assert_eq!(versions[0], 1, "{versions:?}");
+    }
+
+    #[test]
+    fn synchronous_schemes_stash_no_weight_versions() {
+        for s in [
+            gpipe(4, 8),
+            dapple(4, 8),
+            chimera(&ChimeraConfig::new(4, 8)).unwrap(),
+        ] {
+            assert!(peak_versions(&s).iter().all(|&v| v == 0), "{:?}", s.scheme);
+        }
+    }
+
+    #[test]
+    fn gpipe_cliff_is_the_last_injected_forward() {
+        let rep = analyze(&gpipe(2, 4), &UnitCosts::equal());
+        // GPipe's peak is reached at the last forward (index n-1).
+        assert_eq!(rep.cliff[0], Some(3));
+        assert_eq!(rep.peak[0], 4.0);
+        assert_eq!(rep.breakdown[0].stash, 4.0);
+    }
+
+    #[test]
+    fn recomputing_set_has_one_entry_per_recomputing_replica_stage() {
+        let s = chimera(&ChimeraConfig {
+            d: 4,
+            n: 8,
+            f: 1,
+            scale: ScaleMethod::ForwardDoubling { recompute: true },
+        })
+        .unwrap();
+        let r = recomputing(&s);
+        // Both pipelines recompute at every stage.
+        assert_eq!(r.len(), 8, "{r:?}");
+        assert!(recomputing(&dapple(4, 8)).is_empty());
+        assert_eq!(recomputing(&dapple(4, 8).with_recompute()).len(), 4);
+    }
+
+    #[test]
+    fn findings_name_overlap_and_use_after_free() {
+        // Worker 0 stashes micro 0 twice, then frees it twice.
+        let mut s = gpipe(1, 1);
+        let f = s.workers[0][0];
+        let b = s.workers[0][1];
+        s.workers[0] = vec![f, f, b, b];
+        let rep = analyze(&s, &UnitCosts::equal());
+        assert_eq!(
+            rep.findings,
+            vec![
+                LifetimeFinding::StashOverlap {
+                    worker: 0,
+                    replica: 0,
+                    stage: 0,
+                    half: 0,
+                    live_def: 0,
+                    at: 1
+                },
+                LifetimeFinding::StashOverlap {
+                    worker: 0,
+                    replica: 0,
+                    stage: 0,
+                    half: 1,
+                    live_def: 0,
+                    at: 1
+                },
+                LifetimeFinding::UseAfterFree {
+                    worker: 0,
+                    replica: 0,
+                    stage: 0,
+                    half: 0,
+                    at: 3
+                },
+                LifetimeFinding::UseAfterFree {
+                    worker: 0,
+                    replica: 0,
+                    stage: 0,
+                    half: 1,
+                    at: 3
+                },
+            ]
+        );
+        // The clobbered buffer is closed at the re-stash: the peak stays one
+        // micro's stash.
+        assert_eq!(rep.peak[0], 1.0);
     }
 
     /// Unit sizes for version-walk tests: stash 0, version 1.

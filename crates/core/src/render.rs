@@ -2,8 +2,10 @@
 //! pipeline figures (Figs. 2, 3, 5, 7): one row per worker, one column per
 //! tick, micro-batch ids in the cells.
 
+use crate::liveness::analyze;
 use crate::op::OpKind;
-use crate::unit_time::Timeline;
+use crate::schedule::Schedule;
+use crate::unit_time::{Timeline, UnitCosts};
 
 /// Render `timeline` as an ASCII grid. Forward cells show the micro id
 /// (e.g. ` 3`), backward cells are bracketed (`⟨3⟩` → rendered as `-3`),
@@ -39,14 +41,16 @@ pub fn render(timeline: &Timeline) -> String {
     out
 }
 
-/// Compact single-line summary of a timeline.
-pub fn summary(timeline: &Timeline) -> String {
+/// Compact single-line summary of `sched`'s executed `timeline`: makespan,
+/// bubble ratio, and the liveness engine's per-worker activation peak in
+/// `Ma` units.
+pub fn summary(sched: &Schedule, timeline: &Timeline) -> String {
     format!(
         "makespan={} bubble_ratio={:.4} peak_act={:?}",
         timeline.makespan,
         timeline.bubble_ratio(),
-        timeline
-            .peak_activations
+        analyze(sched, &UnitCosts::equal())
+            .peak
             .iter()
             .map(|p| (p * 10.0).round() / 10.0)
             .collect::<Vec<_>>()
@@ -86,8 +90,10 @@ mod tests {
     fn summary_mentions_metrics() {
         let s = dapple(2, 2);
         let tl = execute(&s, UnitCosts::equal()).unwrap();
-        let txt = summary(&tl);
+        let txt = summary(&s, &tl);
         assert!(txt.contains("makespan="));
         assert!(txt.contains("bubble_ratio="));
+        // DAPPLE D=2 N=2: worker 0 stashes both micros, worker 1 one.
+        assert!(txt.contains("peak_act=[2.0, 1.0]"), "{txt}");
     }
 }

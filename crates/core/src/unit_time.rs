@@ -12,6 +12,7 @@
 
 use crate::dep::DepTracker;
 use crate::ids::{ReplicaId, StageId, WorkerId};
+use crate::liveness::BufferSizes;
 use crate::op::{Chunk, Op, OpKind};
 use crate::schedule::Schedule;
 
@@ -31,13 +32,6 @@ pub trait CostProvider {
     /// Duration of the gradient allreduce for `stage`, measured from the
     /// last participant's launch.
     fn allreduce_duration(&self, stage: StageId) -> u64;
-    /// Stash units a forward of `op` allocates (freed by the backward).
-    /// [`UnitCosts`] counts micro-batches (`Ma` units); the simulator counts
-    /// bytes.
-    fn full_stash(&self, op: &Op) -> f64;
-    /// Stash units a forward allocates when the matching backward will
-    /// recompute (only the stage-boundary input is kept).
-    fn boundary_stash(&self, op: &Op) -> f64;
 }
 
 /// Abstract op costs in ticks.
@@ -151,13 +145,26 @@ impl CostProvider for UnitCosts {
     fn allreduce_duration(&self, _stage: StageId) -> u64 {
         self.allreduce
     }
+}
 
+/// Activation memory in units of `Ma` (one stage's activations for one full
+/// micro-batch). Weight versions and gradient contributions are sized 0, so
+/// the liveness peak under `UnitCosts` is the activation peak of Table 2/3.
+impl BufferSizes for UnitCosts {
     fn full_stash(&self, op: &Op) -> f64 {
         chunk_units(op)
     }
 
     fn boundary_stash(&self, op: &Op) -> f64 {
         chunk_units(op) * self.recompute_stash_fraction
+    }
+
+    fn weight_version(&self, _stage: StageId) -> f64 {
+        0.0
+    }
+
+    fn grad_contribution(&self, _op: &Op) -> f64 {
+        0.0
     }
 }
 
@@ -191,9 +198,6 @@ pub struct Timeline {
     /// Compute ticks per worker (forward + backward, incl. recompute and
     /// launch overhead; excludes waiting).
     pub busy: Vec<u64>,
-    /// Peak concurrently-stashed activations per worker, in units of `Ma`
-    /// (one stage's activations for one full micro-batch).
-    pub peak_activations: Vec<f64>,
 }
 
 impl Timeline {
@@ -377,13 +381,7 @@ pub fn execute_with<C: CostProvider>(
     let mut free = vec![0u64; nw];
     let mut busy = vec![0u64; nw];
     let mut spans: Vec<Vec<OpSpan>> = vec![Vec::new(); nw];
-    // Activation deltas (tick, delta) per worker.
-    let mut act_events: Vec<Vec<(u64, f64)>> = vec![Vec::new(); nw];
-    let mut st = DepTracker::new(
-        schedule.d,
-        &schedule.placement,
-        schedule.iter_ops().map(|(_, _, op)| op),
-    );
+    let mut st = DepTracker::new(schedule.d, &schedule.placement);
 
     let total: usize = schedule.workers.iter().map(Vec::len).sum();
     let mut done = 0usize;
@@ -401,29 +399,6 @@ pub fn execute_with<C: CostProvider>(
                 let finish = start + cost;
                 st.record(costs, WorkerId(w as u32), &op, finish);
                 spans[w].push(OpSpan { op, start, finish });
-                match op.kind {
-                    OpKind::Forward => {
-                        let amount = if st.stashes_boundary_only(&op) {
-                            costs.boundary_stash(&op)
-                        } else {
-                            costs.full_stash(&op)
-                        };
-                        act_events[w].push((finish, amount));
-                    }
-                    OpKind::Backward { recompute } => {
-                        let held = costs.full_stash(&op);
-                        if recompute {
-                            // Rematerialized activations live for the span of
-                            // the backward.
-                            let stashed = costs.boundary_stash(&op);
-                            act_events[w].push((start, held - stashed));
-                            act_events[w].push((finish, -held));
-                        } else {
-                            act_events[w].push((finish, -held));
-                        }
-                    }
-                    _ => {}
-                }
                 if op.is_compute() || matches!(op.kind, OpKind::AllReduceLaunch) {
                     busy[w] += cost;
                 }
@@ -449,26 +424,10 @@ pub fn execute_with<C: CostProvider>(
     }
 
     let makespan = free.iter().copied().max().unwrap_or(0);
-    let peak_activations = act_events
-        .into_iter()
-        .map(|mut ev| {
-            // Frees (negative deltas) apply before allocations at the same tick.
-            ev.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.partial_cmp(&b.1).unwrap()));
-            let mut cur = 0.0f64;
-            let mut peak = 0.0f64;
-            for (_, delta) in ev {
-                cur += delta;
-                peak = peak.max(cur);
-            }
-            peak
-        })
-        .collect();
-
     Ok(Timeline {
         spans,
         makespan,
         busy,
-        peak_activations,
     })
 }
 
@@ -476,6 +435,7 @@ pub fn execute_with<C: CostProvider>(
 mod tests {
     use super::*;
     use crate::ids::MicroId;
+    use crate::liveness::analyze;
     use crate::placement::Placement;
     use crate::schedule::{Scheme, SyncStrategy};
 
@@ -578,8 +538,8 @@ mod tests {
     fn activation_peak_gpipe_is_n() {
         // GPipe stashes all N micros (Table 2: N * Ma).
         for n in [2u32, 4, 8] {
-            let t = execute(&gpipe2(n), UnitCosts::practical()).unwrap();
-            assert_eq!(t.peak_activations[0], n as f64, "n={n}");
+            let peak = analyze(&gpipe2(n), &UnitCosts::practical()).peak;
+            assert_eq!(peak[0], n as f64, "n={n}");
         }
     }
 
@@ -598,7 +558,7 @@ mod tests {
         }
         let t = execute(&s, UnitCosts::practical()).unwrap();
         // Peak = rematerialized single micro during backward.
-        assert_eq!(t.peak_activations[0], 1.0);
+        assert_eq!(analyze(&s, &UnitCosts::practical()).peak[0], 1.0);
         // Backward cost = 4 + 2 recompute ticks.
         let b = t.spans[0].iter().find(|sp| sp.op.is_backward()).unwrap();
         assert_eq!(b.finish - b.start, 6);
@@ -693,7 +653,6 @@ mod tests {
             spans: Vec::new(),
             makespan: 7,
             busy: Vec::new(),
-            peak_activations: Vec::new(),
         };
         assert_eq!(t.bubble_ratio(), 0.0);
         assert!(t.per_worker_bubbles().is_empty());

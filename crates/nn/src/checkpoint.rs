@@ -48,6 +48,10 @@ pub enum CheckpointError {
     },
     /// The requested partition depth does not divide the layer count.
     BadDepth(u32),
+    /// The stored model configuration cannot describe a model: zero hidden
+    /// size or heads, heads not dividing the hidden size, or a parameter
+    /// count that overflows.
+    BadConfig(&'static str),
     /// The optimizer-state section names an optimizer this build does not
     /// know.
     UnknownOptimizer(u8),
@@ -70,6 +74,7 @@ impl std::fmt::Display for CheckpointError {
                     "parameter count mismatch: expected {expected}, got {got}"
                 )
             }
+            CheckpointError::BadConfig(why) => write!(f, "invalid model configuration: {why}"),
             CheckpointError::BadDepth(d) => {
                 write!(f, "layers do not divide evenly into {d} stages")
             }
@@ -211,21 +216,34 @@ fn parse(
     if !cfg.layers.is_multiple_of(depth as usize) || depth == 0 {
         return Err(CheckpointError::BadDepth(depth));
     }
-    let total = buf.get_u64_le() as usize;
-    if buf.remaining() < total * 4 {
-        return Err(CheckpointError::ShapeMismatch {
-            expected: total,
-            got: buf.remaining() / 4,
-        });
+    if cfg.hidden == 0 || cfg.heads == 0 || !cfg.hidden.is_multiple_of(cfg.heads) {
+        return Err(CheckpointError::BadConfig(
+            "hidden size and heads must be nonzero, heads dividing hidden",
+        ));
     }
-    let mut stages = Stage::build_all(cfg, depth);
-    let expected: usize = stages.iter().map(Stage::num_params).sum();
+    // Validate every size against the bytes actually present before
+    // building (allocating) the model: a forged header must not cost more
+    // memory than the checkpoint itself occupies.
+    let expected = cfg
+        .num_params()
+        .ok_or(CheckpointError::BadConfig("parameter count overflows"))?;
+    let total = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
     if expected != total {
         return Err(CheckpointError::ShapeMismatch {
             expected,
             got: total,
         });
     }
+    if total
+        .checked_mul(4)
+        .is_none_or(|bytes| buf.remaining() < bytes)
+    {
+        return Err(CheckpointError::ShapeMismatch {
+            expected: total,
+            got: buf.remaining() / 4,
+        });
+    }
+    let mut stages = Stage::build_all(cfg, depth);
     for stage in &mut stages {
         let mut flat = vec![0.0f32; stage.num_params()];
         for v in &mut flat {
@@ -383,6 +401,71 @@ mod tests {
             load(cut, 2),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
+    }
+
+    /// Overwrite the little-endian u64 header field at byte `at` (vocab 8,
+    /// hidden 16, seq 24, layers 32, heads 40, total 57).
+    fn forge(field_at: usize, value: u64) -> Vec<u8> {
+        let mut bytes = save(&trained_model()).to_vec();
+        bytes[field_at..field_at + 8].copy_from_slice(&value.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn zero_heads_is_a_typed_error() {
+        assert!(matches!(
+            load(&forge(40, 0), 2),
+            Err(CheckpointError::BadConfig(_))
+        ));
+    }
+
+    #[test]
+    fn heads_not_dividing_hidden_is_a_typed_error() {
+        // tiny(): hidden 16.
+        assert!(matches!(
+            load(&forge(40, 3), 2),
+            Err(CheckpointError::BadConfig(_))
+        ));
+    }
+
+    #[test]
+    fn overflowing_param_count_is_a_typed_error() {
+        let err = load(&forge(57, 1 << 62), 2).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::ShapeMismatch { got, .. } if got == 1 << 62),
+            "{err:?}"
+        );
+        // A header whose own parameter count overflows.
+        assert_eq!(
+            load(&forge(16, 1 << 40), 2).unwrap_err(),
+            CheckpointError::BadConfig("parameter count overflows")
+        );
+    }
+
+    #[test]
+    fn huge_vocab_is_rejected_before_allocating() {
+        // The model this header describes would need ~2^64 floats; the
+        // loader must refuse it from the header alone.
+        let err = load(&forge(8, 1 << 60), 2).unwrap_err();
+        assert_eq!(err, CheckpointError::BadConfig("parameter count overflows"));
+        // Large but representable: still refused, by size, before building.
+        let err = load(&forge(8, 1 << 30), 2).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::ShapeMismatch { .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn config_param_count_matches_built_model() {
+        let cfg = ModelConfig::tiny();
+        for depth in [1u32, 2, 4] {
+            let built: usize = Stage::build_all(cfg, depth)
+                .iter()
+                .map(Stage::num_params)
+                .sum();
+            assert_eq!(cfg.num_params(), Some(built), "depth {depth}");
+        }
     }
 
     #[test]

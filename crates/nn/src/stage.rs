@@ -43,6 +43,29 @@ impl ModelConfig {
         }
     }
 
+    /// Total parameter count of the whole model (independent of how it is
+    /// partitioned into stages), or `None` if it overflows `usize`.
+    /// Computed from the configuration alone, so callers can size-check an
+    /// untrusted configuration before building (allocating) anything.
+    pub fn num_params(&self) -> Option<usize> {
+        let (v, h, s) = (self.vocab, self.hidden, self.seq);
+        // Token table + positions; per block 2 layernorms (4h), QKV
+        // (3h² + 3h), out-proj (h² + h), MLP (4h² + 4h and 4h² + h); head
+        // layernorm (2h) + projection (h·vocab + vocab).
+        let embedding = v.checked_mul(h)?.checked_add(s.checked_mul(h)?)?;
+        let block = h
+            .checked_mul(h)?
+            .checked_mul(12)?
+            .checked_add(h.checked_mul(13)?)?;
+        let head = h
+            .checked_mul(v)?
+            .checked_add(v)?
+            .checked_add(h.checked_mul(2)?)?;
+        embedding
+            .checked_add(block.checked_mul(self.layers)?)?
+            .checked_add(head)
+    }
+
     /// Sub-seed for layer `l` (or the embedding/head pseudo-layers).
     fn layer_seed(&self, tag: u64) -> u64 {
         self.seed

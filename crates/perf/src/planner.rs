@@ -13,7 +13,7 @@ use chimera_core::schedule::{Schedule, Scheme, SyncStrategy};
 use chimera_core::sync::place_sync;
 use chimera_core::unit_time::UnitCosts;
 use chimera_sim::{simulate_span, SimCostModel, SimReport};
-use chimera_verify::{memory_v2, verify_span};
+use chimera_verify::verify_span;
 
 use crate::costs::{ClusterSpec, TrainConfig};
 use crate::eq1;
@@ -90,8 +90,10 @@ pub struct Candidate {
     /// Whether activation recomputation was needed to fit memory.
     pub recompute: bool,
     /// Whether the configuration fits device memory even with recomputation,
-    /// judged by the exact liveness peak (`memory/v2`), not the coarse
-    /// Table-2 bound — asynchronous schemes gain real headroom from this.
+    /// judged by the exact liveness peak (the simulator's `peak_mem_bytes`,
+    /// the same number as `memory/v3`'s `exact_peak_bytes`), not the
+    /// Table-2 closed form — asynchronous schemes gain real headroom from
+    /// this.
     pub fits: bool,
     /// Simulated per-iteration time (for `b_hat` samples), seconds.
     pub iter_time_s: f64,
@@ -201,22 +203,20 @@ pub fn evaluate(
     let mut recompute = false;
     let mut sched = synced.clone();
     let mut report: SimReport = run(&sched)?;
-    // Fit is judged by the exact liveness peak, which is never above the
-    // coarse Table-2 bound — so the planner admits every configuration the
-    // old bound admitted, plus the ones the bound's slack was rejecting
+    // Fit is judged by the simulator's exact liveness peak, which is never
+    // above the Table-2 closed form — so the planner admits every
+    // configuration that bound admits, plus the ones its slack would reject
     // (PipeDream-2BW carries ~25-30% slack from refcounted weight versions).
-    let mut mem = memory_v2(&sched, &cost);
     // Retry with activation recomputation (the paper's "R" label; Fig. 1
     // shows even PipeDream running with R in the authors' harness).
     // PipeDream's mini-batch size stays capped regardless: its weight
     // stashing (up to D parameter versions on stage 0) dominates memory.
-    if !mem.fits(cluster.usable_mem()) && !already_recomputes(&sched) {
+    if !report.fits(cluster.usable_mem()) && !already_recomputes(&sched) {
         sched = synced.with_recompute();
         recompute = true;
         report = run(&sched)?;
-        mem = memory_v2(&sched, &cost);
     }
-    let fits = mem.fits(cluster.usable_mem());
+    let fits = report.fits(cluster.usable_mem());
     assert_verified(&sched, iters);
 
     // Per-iteration time normalized to b_hat samples.
@@ -238,7 +238,7 @@ pub fn evaluate(
         fits,
         iter_time_s,
         throughput,
-        peak_mem: mem.max_exact_peak(),
+        peak_mem: report.max_peak_mem(),
         bubble_ratio: report.bubble_ratio,
         predicted_s,
         b_hat: eff_b_hat,
@@ -582,11 +582,11 @@ mod tests {
                 rep.bubble_ratio,
                 cand.bubble_ratio
             );
-            let mem = memory_v2(&sched, &cost);
+            // The simulator's peak and the verifier's memory report are
+            // views of the same liveness pass.
+            let mem = chimera_verify::memory_v2(&sched, &cost);
             assert_eq!(mem.max_exact_peak(), cand.peak_mem);
-            // The simulator's coarse bound must stay an upper bound on the
-            // exact peak the planner now prunes with.
-            assert!(rep.max_peak_mem() >= cand.peak_mem);
+            assert_eq!(rep.max_peak_mem(), cand.peak_mem);
         }
     }
 

@@ -164,6 +164,7 @@ pub fn train_worker_process_recoverable(
     let group = rank / per_group;
     let lw = rank % per_group;
     let wid = WorkerId(lw);
+    let _timing = opts.configure_kernels();
 
     let kind = opts.optimizer_kind();
     let canon_stages = Stage::build_all(cfg, d);
@@ -496,7 +497,12 @@ fn load_rank_ckpt(
         return Err(CheckpointError::BadVersion(version));
     }
     let _rank = rd.u32()?;
-    let n_losses = rd.u64()? as usize;
+    // Each loss record is 12 bytes: a count the remaining bytes cannot hold
+    // is corrupt, and must not size an allocation.
+    let n_losses = usize::try_from(rd.u64()?).unwrap_or(usize::MAX);
+    if n_losses > rd.0.len() / 12 {
+        return Err(CheckpointError::Truncated);
+    }
     let mut losses = Vec::with_capacity(n_losses);
     for _ in 0..n_losses {
         let g = rd.u64()?;
@@ -554,6 +560,57 @@ mod tests {
             data_seed: 11,
             ..TrainOptions::default()
         }
+    }
+
+    /// The per-process driver applies the run's kernel configuration, as
+    /// the in-process driver does: a worker process has no other place to
+    /// receive `--threads`. No other unit test in this binary sets the
+    /// thread count, so the process-global value is this run's.
+    #[test]
+    fn worker_process_applies_thread_count() {
+        let sched = chimera(&ChimeraConfig::new(2, 2)).unwrap();
+        let cfg = ModelConfig::tiny();
+        let world = sched.num_workers() as u32;
+        let handles: Vec<_> = LocalFabric::new(world)
+            .into_iter()
+            .map(|e| {
+                let sched = sched.clone();
+                thread::spawn(move || {
+                    let opts = TrainOptions {
+                        threads: Some(3),
+                        ..opts(1)
+                    };
+                    train_worker_process(Arc::new(e), &sched, cfg, opts, 1).unwrap()
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(chimera_tensor::kernels::threads(), 3);
+    }
+
+    #[test]
+    fn rank_ckpt_loss_count_is_bounded_by_the_file() {
+        let stage = Stage::build_all(ModelConfig::tiny(), 2).remove(0);
+        let opt = Optimizer::new(TrainOptions::default().optimizer_kind(), stage.num_params());
+        let template = vec![(0u32, 0u32, stage, opt)];
+        let dir = std::env::temp_dir().join(format!("chimera-rank-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("r0.ckpt");
+        save_rank_ckpt(&path, 0, &[(0, 1.5)], &template).unwrap();
+        let kind = TrainOptions::default().optimizer_kind();
+        assert!(load_rank_ckpt(&path, kind, &template).is_ok());
+        // Forge the loss count (bytes 12..20) to claim 2^60 records: a
+        // typed error, not a 12 EiB `Vec::with_capacity`.
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[12..20].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        assert_eq!(
+            load_rank_ckpt(&path, kind, &template).unwrap_err(),
+            CheckpointError::Truncated
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Every rank in its own "process" (thread + its own endpoint of a

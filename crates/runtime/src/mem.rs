@@ -6,9 +6,9 @@
 //! * [`ModelFootprint::probe`] measures each stage's real stash footprint
 //!   (full and boundary-only) by running one probe forward — no formulas
 //!   that can drift from the model code — and implements
-//!   [`chimera_verify::liveness::BufferSizes`] in **f32 elements**, so the
-//!   verifier's dataflow engine can price a schedule in exactly the units
-//!   the runtime's [`MemTracker`] counts.
+//!   [`chimera_core::liveness::BufferSizes`] in **f32 elements**, so the
+//!   core liveness engine can price a schedule in exactly the units the
+//!   runtime's [`MemTracker`] counts.
 //! * [`plan`] expands each statically-live buffer into its pool size-class
 //!   census and takes the max-overlap per class: the number of same-class
 //!   buffers ever held concurrently. [`crate::worker::Worker`] pre-warms its
@@ -20,12 +20,12 @@
 
 use std::collections::BTreeMap;
 
+use chimera_core::liveness::{self, BufferKind, BufferSizes};
 use chimera_core::op::Op;
 use chimera_core::schedule::Schedule;
 use chimera_core::StageId;
 use chimera_nn::{MicroStash, Stage};
 use chimera_tensor::{pool, Tensor};
-use chimera_verify::liveness::{self, BufferKind, BufferSizes};
 
 /// Measured memory footprint of one pipeline stage, in f32 elements.
 #[derive(Debug, Clone)]
@@ -131,19 +131,11 @@ pub struct WorkerMemPlan {
     pub cliff: Option<usize>,
 }
 
-/// Run the verifier's liveness engine over `sched` under measured sizes and
-/// fold each worker's live buffers into a per-size-class slot demand.
+/// Run the core liveness engine over `sched` under measured sizes and fold
+/// each worker's live buffers into a per-size-class slot demand.
 pub fn plan(sched: &Schedule, fp: &ModelFootprint) -> Vec<WorkerMemPlan> {
     let rep = liveness::analyze(sched, fp);
-    let recomputing: Vec<(u32, u32)> = {
-        let mut v = Vec::new();
-        for (_, _, op) in sched.iter_ops() {
-            if op.recomputes() && !v.contains(&(op.replica.0, op.stage.0)) {
-                v.push((op.replica.0, op.stage.0));
-            }
-        }
-        v
-    };
+    let recomputing = liveness::recomputing(sched);
 
     rep.lives
         .iter()
@@ -223,7 +215,7 @@ pub fn plan(sched: &Schedule, fp: &ModelFootprint) -> Vec<WorkerMemPlan> {
 /// Element-exact accounting of the buffers a worker holds *across* ops:
 /// activation stashes, rematerializations, copy-on-update weight versions,
 /// and pending gradient contributions. Mirrors the event order of the static
-/// walk in [`chimera_verify::liveness::analyze`] — defs (with a peak check)
+/// walk in [`chimera_core::liveness::analyze`] — defs (with a peak check)
 /// before kills within one op — so the high-water mark is comparable to the
 /// static peak, element for element.
 #[derive(Debug, Clone, Copy, Default)]

@@ -163,22 +163,10 @@ pub fn train_hybrid(
     let d = sched.d;
     let data = SyntheticData::new(cfg, opts.data_seed);
 
-    // Kernel configuration for this run. Thread count only affects wall
-    // clock — kernels are bit-identical at any setting — and the pool only
-    // affects allocation traffic.
-    if let Some(t) = opts.threads {
-        kernels::set_threads(t);
-    }
-    pool::set_enabled(opts.pool);
+    let _timing = opts.configure_kernels();
     let pool_before = pool::stats();
     let kernels_before = kernels::stats();
     let pack_before = kernels::pack_stats();
-    // Tracing pays for kernel wall-clock timing; untraced runs skip the two
-    // clock reads per matmul.
-    let time_kernels = opts.trace.is_some();
-    if time_kernels {
-        kernels::set_timing(true);
-    }
 
     let reg = MetricsRegistry::global();
     let ckpt_saves = reg.counter("runtime.checkpoint.saves");
@@ -389,10 +377,6 @@ pub fn train_hybrid(
             sup.counter("runtime.kernel.gflops", kd.flops as f64 / kd.nanos as f64);
         }
     }
-    if time_kernels {
-        kernels::set_timing(false);
-    }
-
     Ok(TrainResult {
         iteration_losses,
         stages: canon_stages,

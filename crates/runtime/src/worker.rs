@@ -117,6 +117,57 @@ impl TrainOptions {
     pub fn schedule(&self) -> LrSchedule {
         self.lr_schedule.unwrap_or(LrSchedule::Constant(self.lr))
     }
+
+    /// Apply this run's process-wide kernel configuration: the intra-op
+    /// thread count, the buffer pool switch and — for traced runs — kernel
+    /// wall-clock timing, held on until the returned guard drops. Both
+    /// training drivers call this first. Thread count only affects wall
+    /// clock (kernels are bit-identical at any setting) and the pool only
+    /// allocation traffic.
+    pub(crate) fn configure_kernels(&self) -> KernelTiming {
+        if let Some(t) = self.threads {
+            kernels::set_threads(t);
+        }
+        pool::set_enabled(self.pool);
+        KernelTiming::hold(self.trace.is_some())
+    }
+}
+
+/// Number of live traced runs in this process. The kernels' timing switch
+/// is process-global and in-process ranks or concurrent tests share it, so
+/// it stays on until the last traced run ends.
+static TIMED_RUNS: std::sync::Mutex<usize> = std::sync::Mutex::new(0);
+
+/// Keeps kernel timing on for one traced run (see
+/// [`TrainOptions::configure_kernels`]); untraced runs hold a no-op guard so
+/// they skip the two clock reads per matmul.
+pub(crate) struct KernelTiming(bool);
+
+impl KernelTiming {
+    fn hold(on: bool) -> Self {
+        if on {
+            let mut runs = TIMED_RUNS
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            *runs += 1;
+            kernels::set_timing(true);
+        }
+        KernelTiming(on)
+    }
+}
+
+impl Drop for KernelTiming {
+    fn drop(&mut self) {
+        if self.0 {
+            let mut runs = TIMED_RUNS
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            *runs -= 1;
+            if *runs == 0 {
+                kernels::set_timing(false);
+            }
+        }
+    }
 }
 
 /// Per-worker tracing state; only built when [`TrainOptions::trace`] holds a
@@ -222,7 +273,7 @@ pub struct Worker {
     /// forward read (PipeDream's *weight stashing*).
     stash_weights: bool,
     /// Copy-on-update version store per held `(replica, stage)` — mirrors
-    /// the static walk in `chimera_verify::liveness`.
+    /// the static walk in `chimera_core::liveness`.
     versions: HashMap<StageKey, VersionStore>,
     /// Liveness-derived pool pre-sizing plan: `(size class, extra spares)`.
     plan: Vec<(usize, usize)>,

@@ -1,7 +1,7 @@
 //! The static liveness engine is an *exact* oracle for runtime memory.
 //!
 //! For every Full-chunk scheme × depth, the peak computed by
-//! `chimera_verify::liveness` under probe-measured buffer sizes must equal
+//! `chimera_core::liveness` under probe-measured buffer sizes must equal
 //! the tracked high-water mark the workers observe while actually training —
 //! element for element, no tolerance. Chunked schedules (doubling/halving)
 //! are covered statically in `chimera-verify`; the runtime executes

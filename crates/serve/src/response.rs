@@ -42,7 +42,7 @@ pub struct PlanContext<'a> {
 }
 
 /// Full plan response: per-scheme best candidates (each already re-verified
-/// by the static schedule verifier, carrying its exact `memory/v2` summary
+/// by the static schedule verifier, carrying its exact `memory/v3` summary
 /// from the liveness engine), the schemes with no feasible configuration,
 /// and the overall throughput winner.
 pub fn plan_results_json(
@@ -103,9 +103,8 @@ mod tests {
             congestion_pct: 100,
         };
         let mem = serde_json::json!({
-            "schema": "memory/v2",
+            "schema": "memory/v3",
             "exact_peak_bytes": c.peak_mem,
-            "min_slack_ratio": 1.25,
         });
         let v = plan_results_json(&ctx, &[("dapple".into(), c, mem)], &["gems".into()]);
         assert_eq!(v["ok"], serde_json::json!(true));
@@ -115,7 +114,7 @@ mod tests {
         assert_eq!(r["scheme_id"].as_str().unwrap(), "dapple");
         assert_eq!(r["verified"], serde_json::json!(true));
         assert!(r["throughput"].as_f64().unwrap() > 0.0);
-        assert_eq!(r["memory"]["schema"].as_str().unwrap(), "memory/v2");
+        assert_eq!(r["memory"]["schema"].as_str().unwrap(), "memory/v3");
         assert!(r["memory"]["exact_peak_bytes"].as_u64().unwrap() > 0);
         assert_eq!(v["infeasible"].as_array().unwrap().len(), 1);
 

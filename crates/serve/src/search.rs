@@ -9,7 +9,7 @@ use chimera_core::chimera::ScaleMethod;
 use chimera_perf::planner::rebuild;
 use chimera_perf::{best_until, plan_chimera_until, Candidate, ClusterSpec, PlanScheme};
 use chimera_sim::NetScenario;
-use chimera_verify::{verify_with_memory, MEMORY_SCHEMA_V2};
+use chimera_verify::{verify_with_memory, MEMORY_SCHEMA_V3};
 use serde_json::Value;
 
 use crate::error::ServeError;
@@ -143,9 +143,8 @@ impl Searcher for RealSearcher {
                     }
                     let mem = report.memory_v2.as_ref().expect("verified with memory");
                     let mem_json = serde_json::json!({
-                        "schema": MEMORY_SCHEMA_V2,
+                        "schema": MEMORY_SCHEMA_V3,
                         "exact_peak_bytes": mem.max_exact_peak(),
-                        "min_slack_ratio": mem.min_slack_ratio(),
                     });
                     results.push((id.to_string(), c, mem_json));
                 }

@@ -1,6 +1,8 @@
 //! Byte- and second-accurate cost model implementing
-//! [`chimera_core::unit_time::CostProvider`] (ticks = nanoseconds).
+//! [`chimera_core::unit_time::CostProvider`] (ticks = nanoseconds) and the
+//! liveness engine's [`BufferSizes`] (bytes).
 
+use chimera_core::liveness::BufferSizes;
 use chimera_core::op::{Chunk, Op, OpKind};
 use chimera_core::unit_time::CostProvider;
 use chimera_core::{StageId, WorkerId};
@@ -197,13 +199,27 @@ impl CostProvider for SimCostModel {
     fn allreduce_duration(&self, stage: StageId) -> u64 {
         to_ns(self.allreduce_s(stage))
     }
+}
 
+/// Stashes in `act_bytes` (`boundary_bytes` under recomputation), weight
+/// versions in `param_bytes`. Gradient contributions are sized 0: the
+/// paper's memory model (Table 2, Fig. 9) folds the gradient accumulation
+/// buffer into the resident `grad_opt_bytes`.
+impl BufferSizes for SimCostModel {
     fn full_stash(&self, op: &Op) -> f64 {
         self.stages[op.stage.idx()].act_bytes as f64 * Self::chunk_scale(op)
     }
 
     fn boundary_stash(&self, op: &Op) -> f64 {
         self.stages[op.stage.idx()].boundary_bytes as f64 * Self::chunk_scale(op)
+    }
+
+    fn weight_version(&self, stage: StageId) -> f64 {
+        self.stages[stage.idx()].param_bytes as f64
+    }
+
+    fn grad_contribution(&self, _op: &Op) -> f64 {
+        0.0
     }
 }
 
@@ -278,6 +294,8 @@ mod tests {
         let f = Op::forward(MicroId(0), StageId(0), ReplicaId(0));
         assert_eq!(m.full_stash(&f), 8_000_000.0);
         assert_eq!(m.boundary_stash(&f), 1_000_000.0);
+        assert_eq!(m.weight_version(StageId(0)), 40_000_000.0);
+        assert_eq!(m.grad_contribution(&f), 0.0);
     }
 
     #[test]

@@ -20,11 +20,15 @@ pub struct SimReport {
     pub bubble_ratio: f64,
     /// Compute-busy seconds per worker.
     pub busy_s: Vec<f64>,
-    /// Peak activation bytes per worker.
+    /// Activation bytes (stashes + rematerializations) per worker at its
+    /// memory peak.
     pub peak_act_bytes: Vec<u64>,
-    /// Static weight bytes per worker (params × versions + grad/opt state).
+    /// Weight bytes per worker at its memory peak: the resident parameter,
+    /// gradient and optimizer state of every held stage replica plus the
+    /// stashed weight versions live at the peak.
     pub weight_bytes: Vec<u64>,
-    /// Peak total memory per worker.
+    /// Exact peak total memory per worker (`weight_bytes + peak_act_bytes`),
+    /// from one pass of the core liveness engine.
     pub peak_mem_bytes: Vec<u64>,
     /// The executed timeline (tick = 1 ns).
     pub timeline: Timeline,
@@ -204,21 +208,15 @@ pub fn simulate_span(
         .iter()
         .map(|&b| SimCostModel::seconds(b))
         .collect();
-    let peak_act_bytes: Vec<u64> = timeline
-        .peak_activations
-        .iter()
-        .map(|&a| a.round() as u64)
-        .collect();
-    let weight_bytes = memory::weights_bytes(sched, cost);
-    let peak_mem_bytes = memory::peak_memory_bytes(sched, cost, &timeline);
+    let mem = memory::profile(sched, cost);
     Ok(SimReport {
         span_s,
         iter_time_s: span_s / iterations as f64,
         bubble_ratio: timeline.bubble_ratio(),
         busy_s,
-        peak_act_bytes,
-        weight_bytes,
-        peak_mem_bytes,
+        peak_act_bytes: mem.peak_act_bytes,
+        weight_bytes: mem.weight_bytes,
+        peak_mem_bytes: mem.peak_mem_bytes,
         timeline,
         recovery: None,
     })

@@ -296,14 +296,6 @@ impl CostProvider for PerturbedCost<'_> {
     fn allreduce_duration(&self, stage: StageId) -> u64 {
         self.base.allreduce_duration(stage)
     }
-
-    fn full_stash(&self, op: &Op) -> f64 {
-        self.base.full_stash(op)
-    }
-
-    fn boundary_stash(&self, op: &Op) -> f64 {
-        self.base.boundary_stash(op)
-    }
 }
 
 /// One crash survived during a simulated run.
@@ -480,6 +472,7 @@ pub fn simulate_faulty(
     let perturbed = PerturbedCost::new(cost, plan, &sched.placement);
     let timeline = execute_with(sched, &perturbed)?;
     let span_s = SimCostModel::seconds(timeline.makespan);
+    let mem = memory::profile(sched, cost);
     let mut rep = SimReport {
         span_s,
         iter_time_s: span_s,
@@ -489,13 +482,9 @@ pub fn simulate_faulty(
             .iter()
             .map(|&b| SimCostModel::seconds(b))
             .collect(),
-        peak_act_bytes: timeline
-            .peak_activations
-            .iter()
-            .map(|&a| a.round() as u64)
-            .collect(),
-        weight_bytes: memory::weights_bytes(sched, cost),
-        peak_mem_bytes: memory::peak_memory_bytes(sched, cost, &timeline),
+        peak_act_bytes: mem.peak_act_bytes,
+        weight_bytes: mem.weight_bytes,
+        peak_mem_bytes: mem.peak_mem_bytes,
         timeline,
         recovery: None,
     };

@@ -13,13 +13,13 @@
 //! * the Rabenseifner / ring / flat-tree collective cost models of §3.4
 //!   ([`collective`]),
 //! * per-stage compute costs and byte-accurate memory footprints ([`cost`],
-//!   [`memory`]),
+//!   [`memory`]; peaks come from the core liveness engine),
 //! * seeded fault injection (stragglers, degraded links, crashes) with
 //!   checkpoint-restart recovery accounting ([`fault`]).
 //!
-//! Timing, bubbles, communication overlap (eager non-blocking allreduce,
-//! §3.2) and per-worker peak memory all emerge from executing the schedule,
-//! exactly as they do on the real machine.
+//! Timing, bubbles and communication overlap (eager non-blocking allreduce,
+//! §3.2) emerge from executing the schedule, exactly as they do on the real
+//! machine; per-worker peak memory emerges from the schedule's op order.
 
 pub mod collective;
 pub mod cost;

@@ -1,24 +1,21 @@
 //! Per-worker memory accounting (§4.1, Fig. 9).
 //!
-//! Peak memory = static weights (parameters × stashed versions + gradient and
-//! optimizer buffers, for every stage replica the worker holds) + the peak of
-//! dynamically stashed activations measured by the executor.
+//! Peak memory = resident weight state (one parameter copy plus gradient and
+//! optimizer buffers for every stage replica the worker holds) + the exact
+//! peak of the buffers the core liveness engine tracks: activation stashes,
+//! rematerializations, and — for non-flushing schedules — the stashed weight
+//! versions that copy-on-update keeps alive. Weight-version counts are not
+//! assumed per scheme; they come out of the schedule's own op order.
 
-use chimera_core::schedule::{Schedule, Scheme};
-use chimera_core::unit_time::Timeline;
+use chimera_core::liveness::analyze;
+use chimera_core::schedule::Schedule;
 use chimera_core::WorkerId;
 
 use crate::cost::SimCostModel;
 
-/// Static weight-related bytes per worker.
-///
-/// Weight-version multipliers follow Table 2: PipeDream stashes up to
-/// `D - s` parameter versions at stage `s` (steady state of per-micro
-/// updates), PipeDream-2BW double-buffers (2 versions), synchronous schemes
-/// keep one version per stage replica. Gradient/optimizer buffers exist once
-/// per stage replica regardless of stashed versions.
-pub fn weights_bytes(sched: &Schedule, cost: &SimCostModel) -> Vec<u64> {
-    let d = sched.d;
+/// Always-resident bytes per worker: one parameter copy plus the
+/// gradient/optimizer buffers of every stage replica the worker holds.
+pub fn resident_bytes(sched: &Schedule, cost: &SimCostModel) -> Vec<u64> {
     (0..sched.num_workers())
         .map(|w| {
             sched
@@ -27,25 +24,43 @@ pub fn weights_bytes(sched: &Schedule, cost: &SimCostModel) -> Vec<u64> {
                 .into_iter()
                 .map(|(_, stage)| {
                     let st = &cost.stages[stage.idx()];
-                    let versions = match sched.scheme {
-                        Scheme::PipeDream => (d - stage.0) as u64,
-                        Scheme::PipeDream2Bw => 2,
-                        _ => 1,
-                    };
-                    st.param_bytes * versions + st.grad_opt_bytes
+                    st.param_bytes + st.grad_opt_bytes
                 })
                 .sum()
         })
         .collect()
 }
 
-/// Peak memory per worker: weights + measured activation peak.
-pub fn peak_memory_bytes(sched: &Schedule, cost: &SimCostModel, timeline: &Timeline) -> Vec<u64> {
-    weights_bytes(sched, cost)
-        .into_iter()
-        .zip(&timeline.peak_activations)
-        .map(|(w, &a)| w + a.round() as u64)
-        .collect()
+/// Per-worker memory at each worker's peak, in bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemoryProfile {
+    /// Activation bytes (stashes + rematerializations) live at the peak.
+    pub peak_act_bytes: Vec<u64>,
+    /// Resident weight state plus the stashed weight versions live at the
+    /// peak.
+    pub weight_bytes: Vec<u64>,
+    /// Exact peak total: `weight_bytes + peak_act_bytes`.
+    pub peak_mem_bytes: Vec<u64>,
+}
+
+/// Resident bytes plus one liveness pass over `sched` under `cost`'s byte
+/// model.
+pub fn profile(sched: &Schedule, cost: &SimCostModel) -> MemoryProfile {
+    let live = analyze(sched, cost);
+    let resident = resident_bytes(sched, cost);
+    let mut out = MemoryProfile {
+        peak_act_bytes: Vec::with_capacity(resident.len()),
+        weight_bytes: Vec::with_capacity(resident.len()),
+        peak_mem_bytes: Vec::with_capacity(resident.len()),
+    };
+    for (w, res) in resident.into_iter().enumerate() {
+        let peak = res + live.peak[w].round() as u64;
+        let weights = res + live.breakdown[w].weight_versions.round() as u64;
+        out.peak_mem_bytes.push(peak);
+        out.weight_bytes.push(weights);
+        out.peak_act_bytes.push(peak - weights);
+    }
+    out
 }
 
 /// Whether every worker fits in `capacity_bytes` of device memory.
@@ -71,9 +86,11 @@ mod tests {
     use crate::collective::AllReduceAlgo;
     use crate::cost::StageCosts;
     use crate::network::{NetworkModel, Topology};
-    use chimera_core::baselines::{dapple, pipedream, pipedream_2bw};
+    use chimera_core::baselines::{dapple, pipedream_2bw_steady, pipedream_steady};
     use chimera_core::chimera::{chimera, ChimeraConfig};
-    use chimera_core::unit_time::execute_with;
+
+    const PARAM: u64 = 100 << 20;
+    const GRAD_OPT: u64 = 200 << 20;
 
     fn cost(d: u32) -> SimCostModel {
         SimCostModel {
@@ -84,8 +101,8 @@ mod tests {
                     recompute_s: 1e-3,
                     boundary_bytes: 1 << 20,
                     act_bytes: 8 << 20,
-                    param_bytes: 100 << 20,
-                    grad_opt_bytes: 200 << 20,
+                    param_bytes: PARAM,
+                    grad_opt_bytes: GRAD_OPT,
                 };
                 d as usize
             ],
@@ -105,12 +122,13 @@ mod tests {
 
     #[test]
     fn pipedream_stashes_d_versions_at_stage0() {
+        // Table 2: D − s weight versions at stage s in steady state.
         let d = 4;
-        let s = pipedream(d, 4);
-        let w = weights_bytes(&s, &cost(d));
+        let s = pipedream_steady(d, d, 4);
+        let w = profile(&s, &cost(d)).weight_bytes;
         // Stage 0: 4 versions * 100M + 200M; stage 3: 1 * 100M + 200M.
-        assert_eq!(w[0], 4 * (100 << 20) + (200 << 20));
-        assert_eq!(w[3], (100 << 20) + (200 << 20));
+        assert_eq!(w[0], 4 * PARAM + GRAD_OPT);
+        assert_eq!(w[3], PARAM + GRAD_OPT);
         assert!(w[0] > w[3]);
     }
 
@@ -118,36 +136,51 @@ mod tests {
     fn chimera_holds_two_stage_replicas() {
         let d = 4;
         let s = chimera(&ChimeraConfig::new(d, d)).unwrap();
-        let w = weights_bytes(&s, &cost(d));
+        let w = profile(&s, &cost(d)).weight_bytes;
         for &b in &w {
-            assert_eq!(b, 2 * ((100 << 20) + (200 << 20)));
+            assert_eq!(b, 2 * (PARAM + GRAD_OPT));
         }
+        assert_eq!(resident_bytes(&s, &cost(d)), w);
     }
 
     #[test]
     fn dapple_weights_uniform_single_copy() {
         let d = 4;
-        let w = weights_bytes(&dapple(d, 8), &cost(d));
-        assert!(w.iter().all(|&b| b == (100 << 20) + (200 << 20)));
+        let w = profile(&dapple(d, 8), &cost(d)).weight_bytes;
+        assert!(w.iter().all(|&b| b == PARAM + GRAD_OPT));
     }
 
     #[test]
     fn two_bw_double_buffers() {
+        // Table 2: at most two versions (2Mθ) anywhere; stage 0 uses both.
         let d = 4;
-        let w = weights_bytes(&pipedream_2bw(d, 8), &cost(d));
-        assert!(w.iter().all(|&b| b == 2 * (100 << 20) + (200 << 20)));
+        let w = profile(&pipedream_2bw_steady(d, 8, 4), &cost(d)).weight_bytes;
+        assert!(w.iter().all(|&b| b <= 2 * PARAM + GRAD_OPT), "{w:?}");
+        assert_eq!(w[0], 2 * PARAM + GRAD_OPT);
+    }
+
+    #[test]
+    fn peak_is_weights_plus_activations() {
+        let d = 4;
+        for s in [
+            dapple(d, 8),
+            pipedream_steady(d, d, 4),
+            pipedream_2bw_steady(d, 8, 4).with_recompute(),
+        ] {
+            let p = profile(&s, &cost(d));
+            for w in 0..s.num_workers() {
+                assert_eq!(p.peak_mem_bytes[w], p.weight_bytes[w] + p.peak_act_bytes[w]);
+                assert!(p.peak_act_bytes[w] > 0, "{:?} P{w}", s.scheme);
+            }
+        }
     }
 
     #[test]
     fn chimera_more_balanced_than_dapple() {
         let d = 8;
         let c = cost(d);
-        let chim = chimera(&ChimeraConfig::new(d, d)).unwrap();
-        let dap = dapple(d, d);
-        let tl_c = execute_with(&chim, &c).unwrap();
-        let tl_d = execute_with(&dap, &c).unwrap();
-        let peaks_c = peak_memory_bytes(&chim, &c, &tl_c);
-        let peaks_d = peak_memory_bytes(&dap, &c, &tl_d);
+        let peaks_c = profile(&chimera(&ChimeraConfig::new(d, d)).unwrap(), &c).peak_mem_bytes;
+        let peaks_d = profile(&dapple(d, d), &c).peak_mem_bytes;
         assert!(
             imbalance(&peaks_c) < imbalance(&peaks_d),
             "chimera {:?} vs dapple {:?}",

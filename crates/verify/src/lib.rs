@@ -18,16 +18,13 @@
 //! 3. **Buffer hazards** ([`hazard`]): WAR/WAW detection on activation stash
 //!    slots and weight-version staleness per stage replica, reusing
 //!    `validate::weight_analysis`'s update-rule machinery.
-//! 4. **Memory** ([`memory`]): static peak activation/weight accounting per
-//!    worker checked against a device capacity, flagging OOM before any
-//!    simulation runs.
-//! 5. **Liveness** ([`liveness`]): a register-allocator-style def/use/kill
-//!    dataflow analysis assigning every buffer (stash halves, rematerialized
-//!    activations, stashed weight versions, gradient contributions) an exact
-//!    live range. Yields the *exact* peak-memory number ([`memory_v2`])
-//!    that replaces the coarse Table-2 bound, the memory-cliff op, the
-//!    interference-based pool pre-sizing plan, and lifetime lints
-//!    (`stash_overlap_range`, `stash_use_after_free`) with exact op ranges.
+//! 4. **Memory** ([`memory_v2`], [`verify_with_memory`]): the exact
+//!    per-worker peak from one pass of `chimera_core::liveness` — the
+//!    workspace's single buffer-lifetime model — plus resident weight state,
+//!    checked against a device capacity before any simulation runs, with the
+//!    memory-cliff op and the interference-based pool pre-sizing plan. The
+//!    same pass's lifetime findings become the `stash_overlap_range` and
+//!    `stash_use_after_free` lints with exact op ranges.
 //!
 //! The deadlock verdict is designed to agree *exactly* with
 //! `chimera_core::unit_time::execute`: the abstract interpreter mirrors the
@@ -38,9 +35,8 @@
 pub mod comm_lint;
 pub mod graph;
 pub mod hazard;
-pub mod liveness;
-pub mod memory;
 
+use chimera_core::liveness::{self, LifetimeFinding, LivenessReport};
 use chimera_core::schedule::Schedule;
 use chimera_core::unit_time::{validate_span, UnitCosts};
 use chimera_core::WorkerId;
@@ -130,11 +126,12 @@ pub struct ChannelStats {
     pub max_parked: usize,
 }
 
-/// Schema tag of the exact-memory section in JSON reports.
-pub const MEMORY_SCHEMA_V2: &str = "memory/v2";
+/// Schema tag of the exact-memory section in JSON reports (v3 carries no
+/// coarse Table-2 bound fields; consumers of v2 must not look for them).
+pub const MEMORY_SCHEMA_V3: &str = "memory/v3";
 
 /// Exact static memory for one worker, from the liveness dataflow engine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerMemory {
     /// Exact peak bytes: resident weight state + the liveness engine's peak
     /// over stashes, rematerializations, weight versions, and gradients.
@@ -144,12 +141,6 @@ pub struct WorkerMemory {
     pub resident_bytes: u64,
     /// Peak of the dynamic (liveness-tracked) buffers alone.
     pub dynamic_peak_bytes: u64,
-    /// The coarse Table-2 bound this analysis replaces (weight-version
-    /// multipliers + activation peak), kept as a cross-check.
-    pub coarse_bound_bytes: u64,
-    /// `coarse / exact` — how much planner headroom the exact analysis
-    /// recovers (≥ 1.0 unless the coarse bound is unsound).
-    pub slack_ratio: f64,
     /// The memory cliff: the op whose execution first reaches the peak.
     pub cliff: Option<OpLoc>,
     /// Stashed-activation bytes live at the cliff.
@@ -162,8 +153,8 @@ pub struct WorkerMemory {
     pub pool_classes: Vec<(u32, u32)>,
 }
 
-/// Exact-memory section of a [`VerifyReport`] (schema [`MEMORY_SCHEMA_V2`]).
-#[derive(Debug, Clone, PartialEq)]
+/// Exact-memory section of a [`VerifyReport`] (schema [`MEMORY_SCHEMA_V3`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryV2 {
     /// Per-worker exact accounting.
     pub workers: Vec<WorkerMemory>,
@@ -177,14 +168,6 @@ impl MemoryV2 {
             .map(|w| w.exact_peak_bytes)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Smallest per-worker slack ratio (coarse / exact).
-    pub fn min_slack_ratio(&self) -> f64 {
-        self.workers
-            .iter()
-            .map(|w| w.slack_ratio)
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Whether every worker's exact peak fits in `capacity_bytes`.
@@ -217,10 +200,10 @@ pub struct VerifyReport {
     /// Per-channel communication statistics.
     pub channels: Vec<ChannelStats>,
     /// Static peak concurrently-stashed activations per worker, in units of
-    /// one micro-batch's activations (matches
-    /// `Timeline::peak_activations` under `UnitCosts`).
+    /// one micro-batch's activations (the liveness peak under
+    /// `UnitCosts`).
     pub peak_activation_units: Vec<f64>,
-    /// Exact memory accounting (schema `memory/v2`); present when the
+    /// Exact memory accounting (schema `memory/v3`); present when the
     /// verifier was given a byte-level cost model
     /// ([`verify_with_memory`] / [`memory_v2`]).
     pub memory_v2: Option<MemoryV2>,
@@ -325,12 +308,10 @@ impl serde::Serialize for ChannelStats {
 impl serde::Serialize for WorkerMemory {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("WorkerMemory", 9)?;
+        let mut st = serializer.serialize_struct("WorkerMemory", 7)?;
         st.serialize_field("exact_peak_bytes", &self.exact_peak_bytes)?;
         st.serialize_field("resident_bytes", &self.resident_bytes)?;
         st.serialize_field("dynamic_peak_bytes", &self.dynamic_peak_bytes)?;
-        st.serialize_field("coarse_bound_bytes", &self.coarse_bound_bytes)?;
-        st.serialize_field("slack_ratio", &self.slack_ratio)?;
         st.serialize_field("cliff", &self.cliff)?;
         st.serialize_field("stash_at_peak_bytes", &self.stash_at_peak_bytes)?;
         st.serialize_field("versions_at_peak_bytes", &self.versions_at_peak_bytes)?;
@@ -347,10 +328,9 @@ impl serde::Serialize for WorkerMemory {
 impl serde::Serialize for MemoryV2 {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("MemoryV2", 5)?;
-        st.serialize_field("schema", MEMORY_SCHEMA_V2)?;
+        let mut st = serializer.serialize_struct("MemoryV2", 4)?;
+        st.serialize_field("schema", MEMORY_SCHEMA_V3)?;
         st.serialize_field("max_exact_peak_bytes", &self.max_exact_peak())?;
-        st.serialize_field("min_slack_ratio", &self.min_slack_ratio())?;
         st.serialize_field(
             "cliff_op",
             &self
@@ -425,12 +405,11 @@ pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
 
     diagnostics.extend(hazard::lint(sched, iterations));
 
-    let peaks = memory::static_peak_activations(sched, &UnitCosts::equal());
-
-    // Lifetime lints from the dataflow engine (activation-only sizing): exact
-    // overlap / use-after-free ranges the slot-mask hazard lint cannot name.
-    let lifetimes = liveness::analyze(sched, &liveness::ActivationSizes(&UnitCosts::equal()));
-    diagnostics.extend(lifetimes.diagnostics);
+    // One liveness pass in activation units gives both the per-worker peak
+    // and the lifetime lints: exact overlap / use-after-free ranges the
+    // slot-mask hazard lint cannot name.
+    let lifetimes = liveness::analyze(sched, &UnitCosts::equal());
+    diagnostics.extend(lifetime_diagnostics(sched, &lifetimes));
 
     let mut report = VerifyReport {
         scheme: sched.scheme.name().to_string(),
@@ -441,35 +420,66 @@ pub fn verify_span(sched: &Schedule, iterations: u32) -> VerifyReport {
         blocked: analysis.blocked,
         diagnostics,
         channels: comm.channels,
-        peak_activation_units: peaks.units,
+        peak_activation_units: lifetimes.peak,
         memory_v2: None,
     };
     report.sort_diagnostics();
     report
 }
 
-/// Exact per-worker memory accounting under `cost`'s byte model: resident
-/// weight state plus the liveness engine's dynamic peak, cross-checked
-/// against the coarse Table-2 bound and paired with a pool pre-sizing plan.
-pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
-    let coarse_weights = chimera_sim::memory::weights_bytes(sched, cost);
-    let coarse_acts = memory::static_peak_activations(sched, cost);
-    let lifetimes = liveness::analyze(sched, &liveness::SimSizes(cost));
+/// The liveness engine's lifetime findings as `stash_overlap_range` /
+/// `stash_use_after_free` diagnostics.
+fn lifetime_diagnostics(sched: &Schedule, rep: &LivenessReport) -> Vec<Diagnostic> {
+    rep.findings
+        .iter()
+        .map(|f| match *f {
+            LifetimeFinding::StashOverlap {
+                worker: w,
+                replica,
+                stage,
+                half,
+                live_def,
+                at,
+            } => Diagnostic {
+                code: "stash_overlap_range",
+                severity: Severity::Error,
+                message: format!(
+                    "P{w} re-stashes half {half} of s{stage}/r{replica} at op #{at} while \
+                     the buffer defined at op #{live_def} is still live — the live \
+                     ranges overlap and the earlier activations are lost"
+                ),
+                locations: vec![OpLoc::of(sched, w, live_def), OpLoc::of(sched, w, at)],
+            },
+            LifetimeFinding::UseAfterFree {
+                worker: w,
+                replica,
+                stage,
+                half,
+                at,
+            } => Diagnostic {
+                code: "stash_use_after_free",
+                severity: Severity::Error,
+                message: format!(
+                    "P{w} backward at op #{at} frees half {half} of s{stage}/r{replica} \
+                     with no live buffer (never stashed, or already freed)"
+                ),
+                locations: vec![OpLoc::of(sched, w, at)],
+            },
+        })
+        .collect()
+}
 
-    let workers = (0..sched.num_workers())
-        .map(|w| {
-            let resident: u64 = sched
-                .placement
-                .held_by(chimera_core::WorkerId(w as u32))
-                .into_iter()
-                .map(|(_, stage)| {
-                    let st = &cost.stages[stage.idx()];
-                    st.param_bytes + st.grad_opt_bytes
-                })
-                .sum();
+/// Exact per-worker memory accounting under `cost`'s byte model: resident
+/// weight state plus one liveness pass, paired with a pool pre-sizing plan.
+pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
+    let resident = chimera_sim::memory::resident_bytes(sched, cost);
+    let lifetimes = liveness::analyze(sched, cost);
+
+    let workers = resident
+        .into_iter()
+        .enumerate()
+        .map(|(w, resident)| {
             let dynamic = lifetimes.peak[w].round() as u64;
-            let exact = resident + dynamic;
-            let coarse = coarse_weights[w] + coarse_acts.units[w].round() as u64;
             // Slot demand per size class (class over f32 element counts, the
             // same granularity the runtime pool uses).
             let mut by_class: std::collections::BTreeMap<u32, Vec<(usize, usize)>> =
@@ -496,15 +506,9 @@ pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
                 })
                 .collect();
             WorkerMemory {
-                exact_peak_bytes: exact,
+                exact_peak_bytes: resident + dynamic,
                 resident_bytes: resident,
                 dynamic_peak_bytes: dynamic,
-                coarse_bound_bytes: coarse,
-                slack_ratio: if exact == 0 {
-                    1.0
-                } else {
-                    coarse as f64 / exact as f64
-                },
                 cliff: lifetimes.cliff[w].map(|i| OpLoc::of(sched, w, i)),
                 stash_at_peak_bytes: (lifetimes.breakdown[w].stash + lifetimes.breakdown[w].remat)
                     .round() as u64,
@@ -518,10 +522,7 @@ pub fn memory_v2(sched: &Schedule, cost: &SimCostModel) -> MemoryV2 {
 
 /// [`verify_span`] plus the exact memory lint: per-worker peak memory from
 /// the liveness dataflow engine ([`memory_v2`]) checked against
-/// `capacity_bytes`, flagging OOM with the memory-cliff op. The superseded
-/// coarse Table-2 bound rides along as a cross-check: `coarse_bound_exceeded`
-/// fires if the exact peak ever exceeds it (which would mean the old lint
-/// under-approximated).
+/// `capacity_bytes`, flagging OOM with the memory-cliff op.
 pub fn verify_with_memory(
     sched: &Schedule,
     iterations: u32,
@@ -543,20 +544,6 @@ pub fn verify_with_memory(
                     wm.resident_bytes as f64 / (1u64 << 30) as f64,
                     wm.dynamic_peak_bytes as f64 / (1u64 << 30) as f64,
                     capacity_bytes as f64 / (1u64 << 30) as f64
-                ),
-                locations: wm.cliff.clone().into_iter().collect(),
-            });
-        }
-        if wm.exact_peak_bytes > wm.coarse_bound_bytes {
-            report.diagnostics.push(Diagnostic {
-                code: "coarse_bound_exceeded",
-                severity: Severity::Error,
-                message: format!(
-                    "{} exact peak {} B exceeds the coarse Table-2 bound {} B — \
-                     the superseded lint under-approximated this schedule",
-                    WorkerId(w as u32),
-                    wm.exact_peak_bytes,
-                    wm.coarse_bound_bytes
                 ),
                 locations: wm.cliff.clone().into_iter().collect(),
             });
@@ -626,5 +613,49 @@ mod tests {
 
         let roomy = verify_with_memory(&s, 1, &c, 8 << 30);
         assert!(roomy.is_clean(), "{roomy}");
+    }
+
+    /// The liveness engine's lifetime findings surface as the
+    /// `stash_overlap_range` / `stash_use_after_free` lints, with exact
+    /// op ranges.
+    #[test]
+    fn lifetime_findings_become_stash_lints() {
+        // P1 forwards micro 0 twice and never runs its backward twice: the
+        // second forward clobbers a live stash.
+        let mut s = gpipe(1, 1);
+        let (f, b) = (s.workers[0][0], s.workers[0][1]);
+        s.workers[0] = vec![f, f, b, b];
+        let rep = verify_span(&s, 1);
+        let overlap: Vec<_> = rep
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "stash_overlap_range")
+            .collect();
+        assert_eq!(overlap.len(), 2, "{rep}");
+        assert_eq!(
+            overlap[0].message,
+            "P0 re-stashes half 0 of s0/r0 at op #1 while the buffer defined at op #0 \
+             is still live — the live ranges overlap and the earlier activations are lost"
+        );
+        assert_eq!(
+            overlap[0]
+                .locations
+                .iter()
+                .map(|l| l.op_index)
+                .collect::<Vec<_>>(),
+            vec![0, 1]
+        );
+        let uaf: Vec<_> = rep
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "stash_use_after_free")
+            .collect();
+        assert_eq!(uaf.len(), 2, "{rep}");
+        assert_eq!(
+            uaf[1].message,
+            "P0 backward at op #3 frees half 1 of s0/r0 with no live buffer \
+             (never stashed, or already freed)"
+        );
+        assert!(uaf.iter().all(|d| d.severity == Severity::Error));
     }
 }

@@ -1,20 +1,28 @@
 //! The liveness dataflow engine across the full scheme matrix.
 //!
-//! 1. Exact-vs-executor: the engine's activation peak equals both the
-//!    incremental replay in `verify::memory` and the unit-time executor's
-//!    measured `peak_activations`, for all 9 schemes × D ∈ {2, 4, 8}.
-//! 2. Exact ≤ coarse: the exact byte peak never exceeds the coarse Table-2
-//!    bound it replaces, and the recovered slack ratio is reported.
-//! 3. Determinism: linear-scan slot assignment and the whole `memory_v2`
+//! 1. Exact ≤ Table 2: the exact byte peak never exceeds the closed-form
+//!    Table-2 bound (weight-version multipliers: D−s for PipeDream at stage
+//!    s, 2 for PipeDream-2BW, 1 otherwise, plus the activation peak),
+//!    computed here as a test oracle. This covers all 9 schemes ×
+//!    D ∈ {2, 4, 8} and every schedule shape the planner (and so
+//!    `chimera-serve`) can admit: eager-opt synchronized flushing schemes
+//!    with and without recomputation, and the steady-state asynchronous
+//!    builders with recomputation.
+//! 2. Determinism: linear-scan slot assignment and the whole `memory_v2`
 //!    report are identical across repeated runs and across threads.
-//! 4. Off-by-one boundary: live ranges that abut at exactly one op (a
+//! 3. Off-by-one boundary: live ranges that abut at exactly one op (a
 //!    rematerialization whose def == kill is the op that also kills the
 //!    boundary stash) interfere and are both counted at the peak.
 
+use chimera_core::baselines::{pipedream_2bw_steady, pipedream_steady};
+use chimera_core::liveness::{analyze, assign_slots, BufferKind, BufferSizes};
 use chimera_core::named::build_named;
-use chimera_core::unit_time::{execute, UnitCosts};
+use chimera_core::op::Op;
+use chimera_core::schedule::{Schedule, Scheme, SyncStrategy};
+use chimera_core::sync::place_sync;
+use chimera_core::unit_time::UnitCosts;
+use chimera_core::{StageId, WorkerId};
 use chimera_sim::{AllReduceAlgo, NetworkModel, SimCostModel, StageCosts, Topology};
-use chimera_verify::liveness::{analyze, assign_slots, ActivationSizes, BufferKind, SimSizes};
 use chimera_verify::{memory_v2, verify_with_memory};
 
 const SCHEMES: [&str; 9] = [
@@ -71,69 +79,129 @@ fn cost(d: u32) -> SimCostModel {
     }
 }
 
-#[test]
-fn exact_activation_peak_matches_replay_and_executor_across_matrix() {
-    let costs = UnitCosts::equal();
-    for (scheme, d, s) in matrix() {
-        let replay = chimera_verify::memory::static_peak_activations(&s, &costs);
-        let engine = analyze(&s, &ActivationSizes(&costs));
-        assert!(
-            engine.diagnostics.is_empty(),
-            "{scheme} D={d}: {:?}",
-            engine.diagnostics
-        );
-        let tl = execute(&s, costs).expect("matrix schedules execute");
-        for w in 0..s.num_workers() {
-            assert!(
-                (engine.peak[w] - replay.units[w]).abs() < 1e-9,
-                "{scheme} D={d} P{w}: engine {} vs replay {}",
-                engine.peak[w],
-                replay.units[w]
-            );
-            assert!(
-                (engine.peak[w] - tl.peak_activations[w]).abs() < 1e-9,
-                "{scheme} D={d} P{w}: engine {} vs executor {}",
-                engine.peak[w],
-                tl.peak_activations[w]
-            );
-            assert_eq!(engine.cliff[w], replay.peak_op[w], "{scheme} D={d} P{w}");
+/// Steady-state iterations the planner simulates for asynchronous schemes.
+const ASYNC_ITERS: u32 = 6;
+
+/// The schedule shapes the planner evaluates at depth `d`: flushing schemes
+/// under eager-opt synchronization, with and without recomputation, and the
+/// steady-state asynchronous builders with recomputation.
+fn planner_shapes(d: u32) -> Vec<(String, Schedule)> {
+    let mut out = Vec::new();
+    for name in [
+        "gpipe",
+        "dapple",
+        "gems",
+        "chimera",
+        "chimera-f2",
+        "doubling",
+    ] {
+        if name == "chimera-f2" && !(d / 2).is_multiple_of(2) {
+            continue;
         }
+        let s = place_sync(
+            build_named(name, d, 2 * d).expect("known scheme"),
+            SyncStrategy::EagerOpt,
+            UnitCosts::practical(),
+        );
+        out.push((format!("{name}+eager-opt+R"), s.clone().with_recompute()));
+        out.push((format!("{name}+eager-opt"), s));
+    }
+    out.push((
+        "pipedream-steady+R".into(),
+        pipedream_steady(d, d, ASYNC_ITERS).with_recompute(),
+    ));
+    out.push((
+        "pipedream-2bw-steady+R".into(),
+        pipedream_2bw_steady(d, 2 * d, ASYNC_ITERS).with_recompute(),
+    ));
+    out
+}
+
+/// Table-2 weight versions per held stage replica: PipeDream stashes up to
+/// `D − s` versions at stage `s`, PipeDream-2BW double-buffers, synchronous
+/// schemes keep one.
+fn table2_versions(scheme: Scheme, d: u32, stage: StageId) -> u64 {
+    match scheme {
+        Scheme::PipeDream => u64::from(d - stage.0),
+        Scheme::PipeDream2Bw => 2,
+        _ => 1,
     }
 }
 
+/// Activation-only byte sizing: the simulator's stash sizes, no weight
+/// versions, no gradients.
+struct ActivationBytes<'a>(&'a SimCostModel);
+
+impl BufferSizes for ActivationBytes<'_> {
+    fn full_stash(&self, op: &Op) -> f64 {
+        self.0.full_stash(op)
+    }
+    fn boundary_stash(&self, op: &Op) -> f64 {
+        self.0.boundary_stash(op)
+    }
+    fn weight_version(&self, _stage: StageId) -> f64 {
+        0.0
+    }
+    fn grad_contribution(&self, _op: &Op) -> f64 {
+        0.0
+    }
+}
+
+/// The closed-form Table-2 bound per worker: parameters × versions +
+/// gradient/optimizer state for every held stage replica, plus the
+/// activation peak.
+fn table2_bound(s: &Schedule, c: &SimCostModel) -> Vec<u64> {
+    let acts = analyze(s, &ActivationBytes(c)).peak;
+    (0..s.num_workers())
+        .map(|w| {
+            let weights: u64 = s
+                .placement
+                .held_by(WorkerId(w as u32))
+                .into_iter()
+                .map(|(_, stage)| {
+                    let st = &c.stages[stage.idx()];
+                    st.param_bytes * table2_versions(s.scheme, s.d, stage) + st.grad_opt_bytes
+                })
+                .sum();
+            weights + acts[w].round() as u64
+        })
+        .collect()
+}
+
 #[test]
-fn exact_peak_never_exceeds_coarse_bound_and_reports_slack() {
-    for (scheme, d, s) in matrix() {
-        let c = cost(d);
+fn exact_peak_never_exceeds_table2_bound() {
+    let mut shapes: Vec<(String, Schedule)> = matrix()
+        .into_iter()
+        .map(|(scheme, d, s)| (format!("{scheme} D={d}"), s))
+        .collect();
+    for d in [2u32, 4, 8] {
+        shapes.extend(
+            planner_shapes(d)
+                .into_iter()
+                .map(|(name, s)| (format!("{name} D={d}"), s)),
+        );
+    }
+    for (name, s) in shapes {
+        let c = cost(s.d);
+        let engine = analyze(&s, &c);
+        assert!(engine.findings.is_empty(), "{name}: {:?}", engine.findings);
         let mem = memory_v2(&s, &c);
+        let bound = table2_bound(&s, &c);
         for (w, wm) in mem.workers.iter().enumerate() {
             assert!(
-                wm.exact_peak_bytes <= wm.coarse_bound_bytes,
-                "{scheme} D={d} P{w}: exact {} > coarse {}",
+                wm.exact_peak_bytes <= bound[w],
+                "{name} P{w}: exact {} > Table-2 bound {}",
                 wm.exact_peak_bytes,
-                wm.coarse_bound_bytes
-            );
-            assert!(
-                wm.slack_ratio >= 1.0,
-                "{scheme} D={d} P{w}: slack {}",
-                wm.slack_ratio
+                bound[w]
             );
             assert_eq!(
                 wm.exact_peak_bytes,
                 wm.resident_bytes + wm.dynamic_peak_bytes
             );
         }
-        // The cross-check lint stays silent on every sound schedule, and the
-        // report carries the memory/v2 section.
+        // The report carries the exact-memory section.
         let report = verify_with_memory(&s, 1, &c, u64::MAX);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .all(|di| di.code != "coarse_bound_exceeded"),
-            "{scheme} D={d}"
-        );
-        assert!(report.memory_v2.is_some());
+        assert_eq!(report.memory_v2.as_ref(), Some(&mem), "{name}");
     }
 }
 
@@ -146,18 +214,20 @@ fn two_bw_recovers_real_slack_while_table2_is_tight_for_pipedream() {
     // live only between an update and the draining of the micros that
     // reference the superseded version, so the exact analysis recovers
     // planner headroom.
-    let pd = memory_v2(&build_named("pipedream", 4, 8).unwrap(), &cost(4));
-    for wm in &pd.workers {
+    let pd_sched = build_named("pipedream", 4, 8).unwrap();
+    let pd = memory_v2(&pd_sched, &cost(4));
+    for (wm, bound) in pd.workers.iter().zip(table2_bound(&pd_sched, &cost(4))) {
         assert_eq!(
-            wm.exact_peak_bytes, wm.coarse_bound_bytes,
+            wm.exact_peak_bytes, bound,
             "Table 2 should be tight for pipedream: {wm:?}"
         );
     }
-    let bw = memory_v2(&build_named("pipedream-2bw", 4, 8).unwrap(), &cost(4));
-    for wm in &bw.workers {
+    let bw_sched = build_named("pipedream-2bw", 4, 8).unwrap();
+    let bw = memory_v2(&bw_sched, &cost(4));
+    for (wm, bound) in bw.workers.iter().zip(table2_bound(&bw_sched, &cost(4))) {
         assert!(
-            wm.slack_ratio > 1.25,
-            "expected ≥25% recovered headroom, got {wm:?}"
+            bound as f64 / wm.exact_peak_bytes as f64 > 1.25,
+            "expected ≥25% recovered headroom, got {wm:?} vs bound {bound}"
         );
     }
 }
@@ -166,7 +236,7 @@ fn two_bw_recovers_real_slack_while_table2_is_tight_for_pipedream() {
 fn slot_assignment_is_deterministic_across_runs_and_threads() {
     let s = build_named("chimera", 4, 8).unwrap();
     let c = cost(4);
-    let lives = analyze(&s, &SimSizes(&c)).lives;
+    let lives = analyze(&s, &c).lives;
     let intervals: Vec<(usize, usize)> = lives
         .iter()
         .flat_map(|wl| wl.iter().map(|b| (b.def, b.kill)))
@@ -203,7 +273,7 @@ fn remat_and_boundary_stash_abut_at_the_backward_op() {
     let s = build_named("doubling", 4, 8).unwrap();
     let mut costs = UnitCosts::practical();
     costs.recompute_stash_fraction = 0.25;
-    let engine = analyze(&s, &ActivationSizes(&costs));
+    let engine = analyze(&s, &costs);
     let mut checked = 0;
     for (w, wl) in engine.lives.iter().enumerate() {
         for remat in wl.iter().filter(|b| b.kind == BufferKind::Remat) {

@@ -25,7 +25,7 @@ fn main() {
     println!("Chimera D=4 N=4 (backward = 2x forward):\n");
     let tl = execute(&sched, UnitCosts::practical()).expect("executes");
     println!("{}", render::render(&tl));
-    println!("{}\n", render::summary(&tl));
+    println!("{}\n", render::summary(&sched, &tl));
 
     // Compare with DAPPLE (1F1B + flush): twice the bubbles.
     let tl_dapple = execute(&dapple(4, 4), UnitCosts::practical()).expect("executes");

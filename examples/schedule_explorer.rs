@@ -62,12 +62,12 @@ fn main() {
     println!("--- equal forward/backward workloads ---");
     let tl = execute(&sched, UnitCosts::equal()).expect("schedule executes");
     println!("{}", render::render(&tl));
-    println!("{}", render::summary(&tl));
+    println!("{}", render::summary(&sched, &tl));
 
     println!("\n--- practical workloads (backward = 2x forward) ---");
     let tl = execute(&sched, UnitCosts::practical()).expect("schedule executes");
     println!("{}", render::render(&tl));
-    println!("{}", render::summary(&tl));
+    println!("{}", render::summary(&sched, &tl));
 
     if matches!(
         sched.scheme,

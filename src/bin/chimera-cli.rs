@@ -33,8 +33,8 @@
 //! on one schedule, or — with no scheme — on every built-in scheme for
 //! D ∈ {2, 4, 8}. `--liveness` adds the exact buffer-liveness dataflow
 //! analysis under the Bert-48/Piz-Daint byte model: per-worker exact peak
-//! memory, the coarse-bound cross-check, the memory-cliff op, and the pool
-//! pre-sizing plan land in the report (schema `memory/v2` under `--json`).
+//! memory, the memory-cliff op, and the pool pre-sizing plan land in the
+//! report (schema `memory/v3` under `--json`).
 //! Exit status 1 when any diagnostic of error severity is found.
 //!
 //! `launch` spawns `P` worker **processes** (one pipeline worker each, `W =
@@ -120,7 +120,7 @@ fn cmd_render(mut args: std::env::Args) {
     let tl = execute(&sched, UnitCosts::practical()).expect("executes");
     println!("{scheme} D={d} N={n} (backward = 2x forward):\n");
     println!("{}", render::render(&tl));
-    println!("{}", render::summary(&tl));
+    println!("{}", render::summary(&sched, &tl));
     if matches!(
         sched.scheme,
         Scheme::Chimera | Scheme::Dapple | Scheme::GPipe | Scheme::Gems

@@ -8,6 +8,7 @@ use chimera::core::analysis::{
 };
 use chimera::core::baselines::{dapple, gems, gpipe, pipedream, pipedream_2bw};
 use chimera::core::chimera::{chimera, ChimeraConfig, ScaleMethod};
+use chimera::core::liveness::analyze;
 use chimera::core::repeat::concat_iterations;
 use chimera::core::schedule::Scheme;
 use chimera::core::unit_time::{execute, UnitCosts};
@@ -67,20 +68,16 @@ proptest! {
         for f in [1u32, 2] {
             if (d / 2) % f != 0 { continue; }
             let a = table3(d, n, f);
-            let tl = execute(
-                &chimera(&ChimeraConfig { d, n, f, scale: ScaleMethod::Direct }).unwrap(),
-                UnitCosts::equal(),
-            )
-            .unwrap();
-            for peak in &tl.peak_activations {
+            let sched = chimera(&ChimeraConfig { d, n, f, scale: ScaleMethod::Direct }).unwrap();
+            execute(&sched, UnitCosts::equal()).unwrap();
+            for peak in &analyze(&sched, &UnitCosts::equal()).peak {
                 prop_assert!(*peak >= a.activations_memory.0 - 1e-9, "f={} low {}", f, peak);
                 prop_assert!(*peak <= a.activations_memory.1 + 1e-9, "f={} high {}", f, peak);
             }
         }
         // DAPPLE: [Ma, min(D, N) Ma].
-        let tl = execute(&dapple(d, n), UnitCosts::equal()).unwrap();
         let a = table2(Scheme::Dapple, d, n);
-        for peak in &tl.peak_activations {
+        for peak in &analyze(&dapple(d, n), &UnitCosts::equal()).peak {
             prop_assert!(*peak >= a.activations_memory.0 - 1e-9);
             prop_assert!(*peak <= a.activations_memory.1 + 1e-9);
         }

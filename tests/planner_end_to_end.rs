@@ -118,7 +118,6 @@ fn model_selection_near_optimal() {
 fn memory_balance_claim() {
     use chimera::core::baselines::dapple;
     use chimera::core::chimera::{chimera, ChimeraConfig};
-    use chimera::core::unit_time::execute_with;
     use chimera::perf::TrainConfig;
     use chimera::sim::memory;
 
@@ -134,8 +133,8 @@ fn memory_balance_claim() {
     let dap = dapple(8, 16);
     let cost_c = cfg(2).cost_model();
     let cost_d = cfg(1).cost_model();
-    let peaks_c = memory::peak_memory_bytes(&chim, &cost_c, &execute_with(&chim, &cost_c).unwrap());
-    let peaks_d = memory::peak_memory_bytes(&dap, &cost_d, &execute_with(&dap, &cost_d).unwrap());
+    let peaks_c = memory::profile(&chim, &cost_c).peak_mem_bytes;
+    let peaks_d = memory::profile(&dap, &cost_d).peak_mem_bytes;
     assert!(memory::imbalance(&peaks_c) < 0.5 * memory::imbalance(&peaks_d));
     let max_c = *peaks_c.iter().max().unwrap() as f64;
     let max_d = *peaks_d.iter().max().unwrap() as f64;

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 
 use chimera::core::baselines::{dapple, gems, gpipe, pipedream_2bw_steady, pipedream_steady};
 use chimera::core::chimera::{chimera, ChimeraConfig, ScaleMethod};
+use chimera::core::liveness::analyze;
 use chimera::core::schedule::SyncStrategy;
 use chimera::core::sync::place_sync;
 use chimera::core::unit_time::{execute, UnitCosts};
@@ -52,7 +53,7 @@ proptest! {
         };
         let sched = chimera(&ChimeraConfig { d, n, f: 1, scale }).unwrap();
         validate(&sched).unwrap();
-        let tl = execute(&sched, UnitCosts::practical()).unwrap();
+        execute(&sched, UnitCosts::practical()).unwrap();
         let cap = match scale {
             ScaleMethod::ForwardDoubling { .. } => 2.0 * d as f64,
             // Backward halving admits a 2D-micro unit; its stash stays near
@@ -61,7 +62,7 @@ proptest! {
             ScaleMethod::BackwardHalving => d as f64 + 1.0,
             ScaleMethod::Direct => d as f64,
         };
-        for peak in &tl.peak_activations {
+        for peak in &analyze(&sched, &UnitCosts::practical()).peak {
             prop_assert!(*peak <= cap + 1e-9, "peak {} cap {}", peak, cap);
         }
         // Every micro visits every stage twice (fwd + bwd).
@@ -100,8 +101,10 @@ proptest! {
         let g = execute(&gpipe(d, n), UnitCosts::practical()).unwrap();
         let a = execute(&dapple(d, n), UnitCosts::practical()).unwrap();
         prop_assert_eq!(g.makespan, a.makespan);
-        prop_assert!((g.peak_activations[0] - n as f64).abs() < 1e-9);
-        prop_assert!(a.peak_activations[0] <= d.min(n) as f64 + 1e-9);
+        let g_peak = analyze(&gpipe(d, n), &UnitCosts::practical()).peak;
+        let a_peak = analyze(&dapple(d, n), &UnitCosts::practical()).peak;
+        prop_assert!((g_peak[0] - n as f64).abs() < 1e-9);
+        prop_assert!(a_peak[0] <= d.min(n) as f64 + 1e-9);
     }
 
     /// Chimera's makespan never exceeds DAPPLE's for N = D (the bubble
